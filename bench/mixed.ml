@@ -55,8 +55,8 @@ let measure send_sem recv_sem =
 let costs = C.create Machine.Machine_spec.micron_p166
 
 let composed send_sem recv_sem =
-  Workload.Estimate.mixed_latency_us costs Net.Net_params.oc3
-    ~scheme:Workload.Estimate.Early_demux ~send_sem ~recv_sem ~len
+  Genie.Stage_cost.mixed_latency_us costs Net.Net_params.oc3
+    ~scheme:Genie.Stage_cost.Early_demux ~send_sem ~recv_sem ~len
 
 let slug s = String.map (function ' ' -> '_' | c -> c) s
 

@@ -263,7 +263,7 @@ let table7 c =
       let base =
         Printf.sprintf "table7.%s.%s"
           (slug row.Workload.Experiments.sem_name)
-          (slug (Workload.Estimate.scheme_name row.Workload.Experiments.scheme))
+          (slug (Genie.Stage_cost.scheme_name row.Workload.Experiments.scheme))
       in
       let record tag (fit : Stats.Fit.t) =
         R.scalar c ~name:(Printf.sprintf "%s.%s.mult_us_per_b" base tag)
@@ -276,7 +276,7 @@ let table7 c =
       Stats.Text_table.add_row t
         [
           row.Workload.Experiments.sem_name;
-          Workload.Estimate.scheme_name row.Workload.Experiments.scheme;
+          Genie.Stage_cost.scheme_name row.Workload.Experiments.scheme;
           "E";
           Format.asprintf "%a" Stats.Fit.pp row.Workload.Experiments.estimated;
           paper `Estimated;
@@ -380,8 +380,8 @@ let table8 c =
     (fun spec ->
       let costs = Machine.Cost_model.create spec in
       let base_mult =
-        let b1 = Workload.Estimate.base_us costs Net.Net_params.oc3 ~len:4096 in
-        let b2 = Workload.Estimate.base_us costs Net.Net_params.oc3 ~len:61440 in
+        let b1 = Genie.Stage_cost.base_us costs Net.Net_params.oc3 ~len:4096 in
+        let b2 = Genie.Stage_cost.base_us costs Net.Net_params.oc3 ~len:61440 in
         (b2 -. b1) /. float_of_int (61440 - 4096)
       in
       Stats.Text_table.add_row t

@@ -115,16 +115,16 @@ let sweep_cmd =
 let estimate_cmd =
   let scheme_conv =
     let parse = function
-      | "early" -> Ok Workload.Estimate.Early_demux
-      | "pooled-aligned" -> Ok Workload.Estimate.Pooled_aligned
-      | "pooled-unaligned" -> Ok Workload.Estimate.Pooled_unaligned
+      | "early" -> Ok Genie.Stage_cost.Early_demux
+      | "pooled-aligned" -> Ok Genie.Stage_cost.Pooled_aligned
+      | "pooled-unaligned" -> Ok Genie.Stage_cost.Pooled_unaligned
       | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
     in
     Arg.conv
-      (parse, fun fmt s -> Format.pp_print_string fmt (Workload.Estimate.scheme_name s))
+      (parse, fun fmt s -> Format.pp_print_string fmt (Genie.Stage_cost.scheme_name s))
   in
   let scheme_arg =
-    Arg.(value & opt scheme_conv Workload.Estimate.Early_demux
+    Arg.(value & opt scheme_conv Genie.Stage_cost.Early_demux
          & info [ "scheme" ] ~docv:"SCHEME"
              ~doc:"early | pooled-aligned | pooled-unaligned")
   in
@@ -133,9 +133,9 @@ let estimate_cmd =
     Printf.printf
       "breakdown-model estimate: %s, %s, %d bytes -> %.1f usec one-way\n"
       (Genie.Semantics.name sem)
-      (Workload.Estimate.scheme_name scheme)
+      (Genie.Stage_cost.scheme_name scheme)
       len
-      (Workload.Estimate.latency_us costs Net.Net_params.oc3 ~scheme ~sem ~len)
+      (Genie.Stage_cost.latency_us costs Net.Net_params.oc3 ~scheme ~sem ~len)
   in
   Cmd.v (Cmd.info "estimate" ~doc:"Analytic latency from the breakdown model.")
     Term.(const run $ sem_arg $ scheme_arg $ len_arg $ machine_arg)

@@ -9,8 +9,7 @@
 
     Lives in [Genie] so online consumers (the adaptive controller) can
     score candidate semantics with the same calibrated tables the
-    offline estimates use; [Workload.Estimate] re-exports this module
-    for report generation. *)
+    offline estimates and reports use. *)
 
 type scheme = Early_demux | Pooled_aligned | Pooled_unaligned
 

@@ -1,27 +1,71 @@
 type t = int32
 
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* Slicing-by-8 (Kounavis & Berry, 2005) over the reflected IEEE 802.3
+   polynomial.  [tables] holds eight 256-entry tables back to back as
+   native ints: entry [k * 256 + n] is byte [n] advanced through [k]
+   more zero bytes, so one step folds eight bytes with eight lookups.
+   Built on first use; the build is deterministic, so two domains
+   racing to build it store equal tables. *)
+let build () =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+let tables = Atomic.make [||]
+
+let get_tables () =
+  match Atomic.get tables with
+  | [||] ->
+    let t = build () in
+    Atomic.set tables t;
+    t
+  | t -> t
+
+(* [k] is 0..7 and every [i] passed here is a byte, 0..255, so the
+   unchecked read stays inside the 2048-entry table. *)
+let[@inline] tbl (t : int array) k i = Array.unsafe_get t ((k lsl 8) lor i)
+
+let[@inline] word data i = Int32.to_int (Bytes.get_int32_le data i) land 0xFFFFFFFF
 
 let init = 0xFFFFFFFFl
 
 let update crc data ~off ~len =
-  let table = Lazy.force table in
-  let crc = ref crc in
-  for i = off to off + len - 1 do
-    let byte = Char.code (Bytes.get data i) in
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int byte)) 0xFFl) in
-    crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
+  if off < 0 || len < 0 || off > Bytes.length data - len then
+    invalid_arg "Crc32.update";
+  let t = get_tables () in
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF) in
+  let blocks_end = off + (len land lnot 7) in
+  let i = ref off in
+  while !i < blocks_end do
+    let lo = !c lxor word data !i in
+    let hi = word data (!i + 4) in
+    c :=
+      tbl t 7 (lo land 0xFF)
+      lxor tbl t 6 ((lo lsr 8) land 0xFF)
+      lxor tbl t 5 ((lo lsr 16) land 0xFF)
+      lxor tbl t 4 (lo lsr 24)
+      lxor tbl t 3 (hi land 0xFF)
+      lxor tbl t 2 ((hi lsr 8) land 0xFF)
+      lxor tbl t 1 ((hi lsr 16) land 0xFF)
+      lxor tbl t 0 (hi lsr 24);
+    i := !i + 8
   done;
-  !crc
+  for j = blocks_end to off + len - 1 do
+    c := tbl t 0 ((!c lxor Char.code (Bytes.get data j)) land 0xFF) lxor (!c lsr 8)
+  done;
+  Int32.of_int !c
 
 let finish crc = Int32.logxor crc 0xFFFFFFFFl
 let digest data = finish (update init data ~off:0 ~len:(Bytes.length data))

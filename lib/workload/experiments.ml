@@ -97,7 +97,7 @@ let fit_of_runs runs ~sem =
 
 type table7_row = {
   sem_name : string;
-  scheme : Estimate.scheme;
+  scheme : Genie.Stage_cost.scheme;
   estimated : Stats.Fit.t;
   actual : Stats.Fit.t;
 }
@@ -106,8 +106,8 @@ let estimate_fit costs params ~scheme ~sem =
   (* The estimate is a linear model; recover (slope, intercept) from two
      page-multiple evaluations. *)
   let x1 = 4096 and x2 = 61440 in
-  let y1 = Estimate.latency_us costs params ~scheme ~sem ~len:x1 in
-  let y2 = Estimate.latency_us costs params ~scheme ~sem ~len:x2 in
+  let y1 = Genie.Stage_cost.latency_us costs params ~scheme ~sem ~len:x1 in
+  let y2 = Genie.Stage_cost.latency_us costs params ~scheme ~sem ~len:x2 in
   let slope = (y2 -. y1) /. float_of_int (x2 - x1) in
   {
     Stats.Fit.slope;
@@ -130,9 +130,9 @@ let table7 ~fig3 ~fig6 ~fig7 =
             actual = fit_of_runs runs ~sem;
           })
         [
-          (Estimate.Early_demux, fig3);
-          (Estimate.Pooled_aligned, fig6);
-          (Estimate.Pooled_unaligned, fig7);
+          (Genie.Stage_cost.Early_demux, fig3);
+          (Genie.Stage_cost.Pooled_aligned, fig6);
+          (Genie.Stage_cost.Pooled_unaligned, fig7);
         ])
     Genie.Semantics.all
 

@@ -13,9 +13,9 @@ let e = `Estimated
 let a = `Actual
 
 let table7 =
-  let early = Estimate.Early_demux
-  and pal = Estimate.Pooled_aligned
-  and pun = Estimate.Pooled_unaligned in
+  let early = Genie.Stage_cost.Early_demux
+  and pal = Genie.Stage_cost.Pooled_aligned
+  and pun = Genie.Stage_cost.Pooled_unaligned in
   let f mult fixed = { mult; fixed } in
   [
     ("copy", early, e, f 0.0997 141.); ("copy", early, a, f 0.0998 125.);

@@ -9,11 +9,11 @@ val table1 : (string * int * string) list
 (** LAN, year introduced, point-to-point bandwidths (Mbps). *)
 
 val table7 :
-  (string * Estimate.scheme * [ `Estimated | `Actual ] * fit) list
+  (string * Genie.Stage_cost.scheme * [ `Estimated | `Actual ] * fit) list
 (** End-to-end latency fits per semantics name and input scheme. *)
 
 val table7_find :
-  sem:string -> scheme:Estimate.scheme -> kind:[ `Estimated | `Actual ] ->
+  sem:string -> scheme:Genie.Stage_cost.scheme -> kind:[ `Estimated | `Actual ] ->
   fit option
 
 val throughput_60k_early : (string * float) list

@@ -27,7 +27,7 @@ let test_fig3_latencies_match_paper () =
     (fun sem ->
       let name = Sem.name sem in
       match
-        Workload.Paper_data.table7_find ~sem:name ~scheme:Workload.Estimate.Early_demux
+        Workload.Paper_data.table7_find ~sem:name ~scheme:Genie.Stage_cost.Early_demux
           ~kind:`Actual
       with
       | Some fit ->
@@ -159,8 +159,8 @@ let test_estimate_matches_actual () =
   List.iter
     (fun sem ->
       let est =
-        Workload.Estimate.latency_us costs Net.Net_params.oc3
-          ~scheme:Workload.Estimate.Early_demux ~sem ~len:61440
+        Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+          ~scheme:Genie.Stage_cost.Early_demux ~sem ~len:61440
       in
       let act = latency sem 61440 in
       within_pct (Sem.name sem ^ " estimate vs actual") ~expect:est ~tol_pct:2. act)
@@ -199,14 +199,14 @@ let test_breakdown_composes_across_semantics () =
   (* Expected: emulated copy sender side + copy receiver side. *)
   let costs = Machine.Cost_model.create Machine.Machine_spec.micron_p166 in
   let ec =
-    Workload.Estimate.latency_us costs Net.Net_params.oc3
-      ~scheme:Workload.Estimate.Early_demux ~sem:Sem.emulated_copy ~len
+    Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+      ~scheme:Genie.Stage_cost.Early_demux ~sem:Sem.emulated_copy ~len
   and cc =
-    Workload.Estimate.latency_us costs Net.Net_params.oc3
-      ~scheme:Workload.Estimate.Early_demux ~sem:Sem.copy ~len
+    Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+      ~scheme:Genie.Stage_cost.Early_demux ~sem:Sem.copy ~len
   and es =
-    Workload.Estimate.latency_us costs Net.Net_params.oc3
-      ~scheme:Workload.Estimate.Early_demux ~sem:Sem.emulated_share ~len
+    Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+      ~scheme:Genie.Stage_cost.Early_demux ~sem:Sem.emulated_share ~len
   in
   ignore es;
   (* sender(emcopy) + receiver(copy): receiver side of copy is copyout,

@@ -105,6 +105,13 @@ let test_fabric_digest_domains () =
   Alcotest.(check bool) "distinct seeds, distinct digests" true
     (od.Fabric.digest <> o1.Fabric.digest)
 
+(* The small config's digest, pinned.  Digests equal across domains do
+   not catch a change that moves simulated behaviour on every domain
+   count alike; this does. *)
+let test_fabric_golden_digest () =
+  Alcotest.(check string) "small config digest"
+    "329bf630e120c3a5d130d1a5da088a0f" (Fabric.run small).Fabric.digest
+
 let test_fabric_overload_rejects () =
   (* One circuit per port at heavy load: arrivals must find the pool
      busy and be refused, and the engine must still drain cleanly. *)
@@ -142,6 +149,8 @@ let suite =
       test_fabric_accounting;
     Alcotest.test_case "fabric digest across domains" `Quick
       test_fabric_digest_domains;
+    Alcotest.test_case "fabric small config golden digest" `Quick
+      test_fabric_golden_digest;
     Alcotest.test_case "fabric overload rejects" `Quick
       test_fabric_overload_rejects;
     Alcotest.test_case "fabric load knee" `Quick test_fabric_knee;

@@ -1,13 +1,80 @@
 (* Tests for the network substrate: CRC-32, AAL5 framing, link timing,
    and the adapter's three RX buffering architectures. *)
 
+(* Bitwise reference CRC-32 (reflected IEEE 802.3 polynomial), one bit
+   per step: the table-driven kernel must agree with it everywhere. *)
+let ref_crc32_update crc data ~off ~len =
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get data i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int !c
+
 let test_crc32_vectors () =
-  (* Standard check value for CRC-32/IEEE. *)
-  Alcotest.(check int32) "123456789" 0xCBF43926l
-    (Net.Crc32.digest (Bytes.of_string "123456789"));
-  Alcotest.(check int32) "empty" 0l
-    (Int32.logxor (Net.Crc32.digest Bytes.empty) 0l |> fun x ->
-     if x = 0l then 0l else x |> fun _ -> Net.Crc32.digest Bytes.empty)
+  (* Known answers, computed with zlib's crc32. *)
+  let check name want b =
+    Alcotest.(check int32) name want (Net.Crc32.digest b)
+  in
+  check "123456789" 0xCBF43926l (Bytes.of_string "123456789");
+  check "empty" 0l Bytes.empty;
+  check "bytes 0x00..0xFF" 0x29058C73l (Bytes.init 256 Char.chr);
+  check "32 x 0x00" 0x190A55ADl (Bytes.make 32 '\x00');
+  check "32 x 0xFF" 0xFF6CAB0Bl (Bytes.make 32 '\xff')
+
+let test_crc32_bounds () =
+  let b = Bytes.make 16 'x' in
+  let raises name ~off ~len =
+    match Net.Crc32.update Net.Crc32.init b ~off ~len with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative off" ~off:(-1) ~len:4;
+  raises "negative len" ~off:0 ~len:(-1);
+  raises "off + len past the end" ~off:10 ~len:7;
+  raises "off past the end" ~off:17 ~len:0;
+  Alcotest.(check int32) "empty slice at the end is the identity" Net.Crc32.init
+    (Net.Crc32.update Net.Crc32.init b ~off:16 ~len:0)
+
+let test_crc32_every_edge () =
+  (* Every length 0..40 at every offset 0..7 reaches each mix of 8-byte
+     blocks and tail bytes, from every alignment. *)
+  let data = Bytes.init 64 (fun i -> Char.chr ((i * 151 + 77) land 0xFF)) in
+  for off = 0 to 7 do
+    for len = 0 to 40 do
+      Alcotest.(check int32)
+        (Printf.sprintf "off %d len %d" off len)
+        (ref_crc32_update Net.Crc32.init data ~off ~len)
+        (Net.Crc32.update Net.Crc32.init data ~off ~len)
+    done
+  done
+
+let crc32_reference_prop =
+  let gen =
+    QCheck.Gen.(
+      (* Full byte range, so the high bit of every lane is exercised. *)
+      string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 600) >>= fun s ->
+      let n = String.length s in
+      0 -- n >>= fun off ->
+      0 -- (n - off) >>= fun len ->
+      0 -- len >>= fun split -> return (s, off, len, split))
+  in
+  QCheck.Test.make ~name:"crc32 equals a bitwise reference" ~count:500
+    (QCheck.make
+       ~print:(fun (s, off, len, split) ->
+         Printf.sprintf "len(s)=%d off=%d len=%d split=%d" (String.length s) off
+           len split)
+       gen)
+    (fun (s, off, len, split) ->
+      let b = Bytes.of_string s in
+      let open Net.Crc32 in
+      let oneshot = update init b ~off ~len in
+      let first = update init b ~off ~len:split in
+      let two = update first b ~off:(off + split) ~len:(len - split) in
+      Int32.equal oneshot (ref_crc32_update init b ~off ~len)
+      && Int32.equal two oneshot)
 
 let test_crc32_incremental () =
   let data = Bytes.of_string "the quick brown fox jumps over the lazy dog" in
@@ -353,6 +420,9 @@ let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    Alcotest.test_case "crc32 rejects out-of-range slices" `Quick test_crc32_bounds;
+    Alcotest.test_case "crc32 every block edge and tail" `Quick test_crc32_every_edge;
+    QCheck_alcotest.to_alcotest crc32_reference_prop;
     Alcotest.test_case "aal5 cell math" `Quick test_aal5_math;
     Alcotest.test_case "aal5 roundtrip" `Quick test_aal5_roundtrip;
     Alcotest.test_case "aal5 corruption detection" `Quick test_aal5_detects_corruption;

@@ -21,8 +21,8 @@ let estimate_monotone_in_len =
       let sem = List.nth Sem.all sem_idx in
       let lo = min l1 l2 and hi = max l1 l2 in
       let e len =
-        Workload.Estimate.latency_us costs Net.Net_params.oc3
-          ~scheme:Workload.Estimate.Early_demux ~sem ~len
+        Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+          ~scheme:Genie.Stage_cost.Early_demux ~sem ~len
       in
       e lo <= e hi +. 1e-9)
 
@@ -34,8 +34,8 @@ let estimate_copy_dominates =
       let sem = List.nth Sem.all sem_idx in
       let len = pages * 4096 in
       let e s =
-        Workload.Estimate.latency_us costs Net.Net_params.oc3
-          ~scheme:Workload.Estimate.Early_demux ~sem:s ~len
+        Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+          ~scheme:Genie.Stage_cost.Early_demux ~sem:s ~len
       in
       e sem <= e Sem.copy +. 1e-9)
 
@@ -46,11 +46,11 @@ let mixed_composition_consistent =
     (fun (sem_idx, len) ->
       let sem = List.nth Sem.all sem_idx in
       let a =
-        Workload.Estimate.latency_us costs Net.Net_params.oc3
-          ~scheme:Workload.Estimate.Early_demux ~sem ~len
+        Genie.Stage_cost.latency_us costs Net.Net_params.oc3
+          ~scheme:Genie.Stage_cost.Early_demux ~sem ~len
       and b =
-        Workload.Estimate.mixed_latency_us costs Net.Net_params.oc3
-          ~scheme:Workload.Estimate.Early_demux ~send_sem:sem ~recv_sem:sem ~len
+        Genie.Stage_cost.mixed_latency_us costs Net.Net_params.oc3
+          ~scheme:Genie.Stage_cost.Early_demux ~send_sem:sem ~recv_sem:sem ~len
       in
       Float.abs (a -. b) < 1e-6)
 
