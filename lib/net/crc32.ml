@@ -1,7 +1,9 @@
 type t = int32
 
-(* Slicing-by-8 (Kounavis & Berry, 2005) over the reflected IEEE 802.3
-   polynomial.  [tables] holds eight 256-entry tables back to back as
+(* Two kernels over the reflected IEEE 802.3 polynomial: a
+   carry-less-multiply fold in C (see [update] for when it runs) and
+   slicing-by-8 (Kounavis & Berry, 2005), which takes everything else.
+   For slicing-by-8, [tables] holds eight 256-entry tables back to back as
    native ints: entry [k * 256 + n] is byte [n] advanced through [k]
    more zero bytes, so one step folds eight bytes with eight lookups.
    Built on first use; the build is deterministic, so two domains
@@ -39,6 +41,18 @@ let[@inline] tbl (t : int array) k i = Array.unsafe_get t ((k lsl 8) lor i)
 
 let[@inline] word data i = Int32.to_int (Bytes.get_int32_le data i) land 0xFFFFFFFF
 
+(* The carry-less-multiply fold in [crc32_stubs.c]: it advances the
+   register over [len] bytes at [off], where [len >= 64] and [len] is a
+   multiple of 16.  It is only called when [clmul] holds. *)
+external clmul_fold :
+  (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "crc32_clmul_fold_byte" "crc32_clmul_fold"
+[@@noalloc]
+
+external clmul_available : unit -> bool = "crc32_clmul_available" [@@noalloc]
+
+let clmul = clmul_available ()
+
 let init = 0xFFFFFFFFl
 
 let update crc data ~off ~len =
@@ -46,6 +60,17 @@ let update crc data ~off ~len =
     invalid_arg "Crc32.update";
   let t = get_tables () in
   let c = ref (Int32.to_int crc land 0xFFFFFFFF) in
+  (* Kernel choice: the fold takes the 16-byte-multiple prefix of any
+     slice of 64 bytes or more when the CPU has CLMUL; slicing-by-8 takes
+     the rest, and everything on a CPU without it. *)
+  let off, len =
+    if clmul && len >= 64 then begin
+      let n = len land lnot 15 in
+      c := clmul_fold !c data off n;
+      (off + n, len - n)
+    end
+    else (off, len)
+  in
   let blocks_end = off + (len land lnot 7) in
   let i = ref off in
   while !i < blocks_end do

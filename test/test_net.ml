@@ -39,11 +39,13 @@ let test_crc32_bounds () =
     (Net.Crc32.update Net.Crc32.init b ~off:16 ~len:0)
 
 let test_crc32_every_edge () =
-  (* Every length 0..40 at every offset 0..7 reaches each mix of 8-byte
-     blocks and tail bytes, from every alignment. *)
-  let data = Bytes.init 64 (fun i -> Char.chr ((i * 151 + 77) land 0xFF)) in
-  for off = 0 to 7 do
-    for len = 0 to 40 do
+  (* Every length 0..300 at every offset 0..15 reaches each mix of
+     8-byte blocks and tail bytes from every alignment, the table-only
+     inputs below 64 bytes, the 63/64/65 kernel threshold, and every
+     0..15-byte remainder after the carry-less fold's 16-byte blocks. *)
+  let data = Bytes.init 320 (fun i -> Char.chr ((i * 151 + 77) land 0xFF)) in
+  for off = 0 to 15 do
+    for len = 0 to 300 do
       Alcotest.(check int32)
         (Printf.sprintf "off %d len %d" off len)
         (ref_crc32_update Net.Crc32.init data ~off ~len)
@@ -51,11 +53,41 @@ let test_crc32_every_edge () =
     done
   done
 
+let test_crc32_table_parity () =
+  (* Folding in 63-byte pieces keeps every call under the 64-byte
+     threshold, so only the table kernel runs; the one-shot call takes
+     the carry-less fold where the CPU has it.  Agreement checks the two
+     kernels against each other at the sizes the workloads CRC. *)
+  let pieces data ~len =
+    let c = ref Net.Crc32.init in
+    let i = ref 0 in
+    while !i < len do
+      let n = min 63 (len - !i) in
+      c := Net.Crc32.update !c data ~off:!i ~len:n;
+      i := !i + n
+    done;
+    !c
+  in
+  let check name data ~len =
+    let oneshot = Net.Crc32.update Net.Crc32.init data ~off:0 ~len in
+    Alcotest.(check int32) (name ^ ": 63-byte pieces") oneshot (pieces data ~len);
+    Alcotest.(check int32)
+      (name ^ ": bitwise reference")
+      (ref_crc32_update Net.Crc32.init data ~off:0 ~len)
+      oneshot
+  in
+  let data = Bytes.init 16_392 (fun i -> Char.chr (((i * 7919) + (i lsr 8)) land 0xFF)) in
+  check "16392 B" data ~len:(Bytes.length data);
+  for len = 72 to 1032 do
+    check (Printf.sprintf "%d B" len) data ~len
+  done
+
 let crc32_reference_prop =
   let gen =
     QCheck.Gen.(
-      (* Full byte range, so the high bit of every lane is exercised. *)
-      string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 600) >>= fun s ->
+      (* Full byte range, so the high bit of every lane is exercised; up
+         to 70 000 bytes covers the AAL5 maximum PDU plus its trailer. *)
+      string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 70_000) >>= fun s ->
       let n = String.length s in
       0 -- n >>= fun off ->
       0 -- (n - off) >>= fun len ->
@@ -422,6 +454,8 @@ let suite =
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
     Alcotest.test_case "crc32 rejects out-of-range slices" `Quick test_crc32_bounds;
     Alcotest.test_case "crc32 every block edge and tail" `Quick test_crc32_every_edge;
+    Alcotest.test_case "crc32 table kernel matches one-shot at workload sizes" `Quick
+      test_crc32_table_parity;
     QCheck_alcotest.to_alcotest crc32_reference_prop;
     Alcotest.test_case "aal5 cell math" `Quick test_aal5_math;
     Alcotest.test_case "aal5 roundtrip" `Quick test_aal5_roundtrip;
