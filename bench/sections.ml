@@ -623,7 +623,7 @@ let timestamp () =
    section recorded any metrics.  Exceptions are reported, not
    propagated, so a driver can run every requested section and still
    exit non-zero. *)
-let run_one ?(out_dir = ".") ?(domains = 1) name =
+let run_one ?(out_dir = ".") name =
   match List.assoc_opt name all with
   | None ->
     Error
@@ -632,7 +632,6 @@ let run_one ?(out_dir = ".") ?(domains = 1) name =
   | Some f ->
     let c = R.create_collector ~section:name () in
     R.set_created c (timestamp ());
-    R.set_domains c domains;
     (match f c with
     | () ->
       if R.collector_is_empty c then Ok None

@@ -237,19 +237,11 @@ let check_cmd =
                 mid-run workload shifts, audited against the migration \
                 cap).")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K"
-             ~doc:
-               "Shard the simulation engine across K OCaml domains.  The \
-                replay digest must be identical for every K — CI gates on \
-                it.")
-  in
   let run steps seed check_every no_exhaustion no_faults no_batch no_storage
-      no_fabric no_adapt domains =
+      no_fabric no_adapt =
     let cfg =
       { Check.Fuzzer.default_config with
-        steps; seed; check_every; domains;
+        steps; seed; check_every;
         exhaustion = not no_exhaustion;
         link_faults = not no_faults;
         batch = not no_batch;
@@ -263,15 +255,14 @@ let check_cmd =
     | Check.Fuzzer.Completed -> ()
     | Check.Fuzzer.Violations _ ->
       Printf.printf
-        "reproduce with: genie_cli check --steps %d --seed %d%s%s%s%s%s%s%s\n"
+        "reproduce with: genie_cli check --steps %d --seed %d%s%s%s%s%s%s\n"
         steps seed
         (if no_exhaustion then " --no-exhaustion" else "")
         (if no_faults then " --no-faults" else "")
         (if no_batch then " --no-batch" else "")
         (if no_storage then " --no-storage" else "")
         (if no_fabric then " --no-fabric" else "")
-        (if no_adapt then " --no-adapt" else "")
-        (if domains <> 1 then Printf.sprintf " --domains %d" domains else "");
+        (if no_adapt then " --no-adapt" else "");
       exit 1
   in
   Cmd.v
@@ -282,7 +273,7 @@ let check_cmd =
     Term.(
       const run $ steps_arg $ seed_arg $ check_every_arg $ no_exhaustion_arg
       $ no_faults_arg $ no_batch_arg $ no_storage_arg $ no_fabric_arg
-      $ no_adapt_arg $ domains_arg)
+      $ no_adapt_arg)
 
 (* {1 fabric: the datacenter-scale fan-in flow engine} *)
 
@@ -317,8 +308,9 @@ let fabric_cmd =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"K"
              ~doc:
-               "Shard the engine across K OCaml domains.  The completion \
-                digest must be identical for every K — CI gates on it.")
+               "Run the ports on up to K OCaml domains (each port is an \
+                independent simulation).  Only the host wall time changes; \
+                the completion digest is identical for every K.")
   in
   let seed_arg =
     Arg.(value & opt int Workload.Fabric.default.Workload.Fabric.seed
@@ -539,20 +531,7 @@ let bench_run_cmd =
          & info [] ~docv:"SECTION"
              ~doc:"Benchmark sections to run (default: all).")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:
-               "Engine domain count stamped into every result's env.  \
-                $(b,bench compare) refuses to diff results whose stamps \
-                differ, so baselines taken at different counts can never \
-                be silently compared.")
-  in
-  let run out_dir domains requested =
-    if domains < 1 then begin
-      Printf.eprintf "--domains must be at least 1\n";
-      exit 2
-    end;
+  let run out_dir requested =
     let requested =
       match requested with
       | [] -> Sections.names ()
@@ -575,7 +554,7 @@ let bench_run_cmd =
       List.filter_map
         (fun name ->
           let name = Option.get (Sections.resolve name) in
-          match Sections.run_one ~out_dir ~domains name with
+          match Sections.run_one ~out_dir name with
           | Ok (Some path) ->
             Printf.printf "[bench] wrote %s\n" path;
             None
@@ -596,7 +575,7 @@ let bench_run_cmd =
        ~doc:
          "Run benchmark sections and write machine-readable \
           BENCH_<section>.json results.")
-    Term.(const run $ out_arg $ domains_arg $ sections_arg)
+    Term.(const run $ out_arg $ sections_arg)
 
 let bench_compare_cmd =
   let baseline_arg =
@@ -720,13 +699,8 @@ let adapt_cmd =
                 the adaptive run's deliberately wrong starting semantics — \
                 different indices exercise different wrong starts.")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K"
-             ~doc:"Shard the simulation engine across K OCaml domains.")
-  in
-  let run_single ~domains ~start_index r =
-    let c = Workload.Adaptive_run.converge ~domains ~start_index r in
+  let run_single ~start_index r =
+    let c = Workload.Adaptive_run.converge ~start_index r in
     Printf.printf "regime %-12s (start %s)\n" c.Workload.Adaptive_run.c_regime
       c.Workload.Adaptive_run.c_start;
     List.iter
@@ -745,8 +719,8 @@ let adapt_cmd =
        else "settled: FAILED");
     c.Workload.Adaptive_run.c_settled
   in
-  let run_mixed ~domains ~start_index r =
-    let c = Workload.Adaptive_run.converge ~domains ~start_index r in
+  let run_mixed ~start_index r =
+    let c = Workload.Adaptive_run.converge ~start_index r in
     let best_static =
       List.fold_left
         (fun acc (_, us) -> min acc us)
@@ -772,23 +746,23 @@ let adapt_cmd =
       (if ok then "beats every static: OK" else "beats every static: FAILED");
     ok
   in
-  let run regime start_index domains =
+  let run regime start_index =
     let ok =
       match regime with
       | "all" ->
         let singles =
           List.map
-            (fun r -> run_single ~domains ~start_index r)
+            (fun r -> run_single ~start_index r)
             Workload.Adaptive_run.regimes
         in
         let mixed =
-          run_mixed ~domains ~start_index Workload.Adaptive_run.mixed_regime
+          run_mixed ~start_index Workload.Adaptive_run.mixed_regime
         in
         List.for_all Fun.id singles && mixed
-      | "mixed" -> run_mixed ~domains ~start_index Workload.Adaptive_run.mixed_regime
+      | "mixed" -> run_mixed ~start_index Workload.Adaptive_run.mixed_regime
       | name -> (
         match Workload.Adaptive_run.find_regime name with
-        | Some r -> run_single ~domains ~start_index r
+        | Some r -> run_single ~start_index r
         | None ->
           Printf.eprintf "unknown regime %s\n" name;
           false)
@@ -801,7 +775,7 @@ let adapt_cmd =
          "Run the online-adaptation convergence check: measure every static \
           semantics on a workload, then verify the per-flow controller \
           discovers the winner from a wrong start and settles on it.")
-    Term.(const run $ regime_arg $ start_index_arg $ domains_arg)
+    Term.(const run $ regime_arg $ start_index_arg)
 
 let () =
   let info =

@@ -88,11 +88,6 @@ type config = {
           {!Genie.Adapt.migration_cap}, and the controller's
           [adapt_epochs] / [adapt_migrations] counters join the audited
           event set and the replay digest. *)
-  domains : int;
-      (** engine shards (OCaml domains) the world runs on; 1 is the
-          historical sequential engine.  The simulation outcome — and
-          therefore [outcome.digest] — must not depend on this value:
-          that equality is the parallel engine's determinism gate. *)
 }
 
 val default_config : config
@@ -125,11 +120,9 @@ type outcome = {
   trace_tail : string list;
       (** most recent tracer events of both hosts at the end of the run *)
   digest : string;
-      (** hex digest of the domain-count-invariant results: driver
-          counts, completion sums, audited tracer counters and the final
-          simulated instant.  Runs of one [config] must produce one
-          digest regardless of [config.domains]; [schedule] line
-          interleaving is the only field allowed to vary. *)
+      (** hex digest of the run's results: driver counts, completion
+          sums, audited tracer counters and the final simulated instant.
+          Runs of one [config] produce one digest. *)
 }
 
 val event_keys : string list

@@ -1,30 +1,27 @@
 type t = {
-  engine : Simcore.Engine.t;
+  engines : Simcore.Engine.t array;
   pairs : (Host.t * Host.t) array;
 }
 
 let create ?(domains = 1) ?(pairs = 2) ?(params = Net.Net_params.oc3)
     ?(spec = Machine.Machine_spec.micron_p166) ?pool_frames () =
+  if domains < 1 then invalid_arg "Cluster.create: domains must be >= 1";
   if pairs < 1 then invalid_arg "Cluster.create: pairs must be >= 1";
-  let engine = Simcore.Engine.create ~domains () in
-  let k = Simcore.Engine.domains engine in
+  let engines =
+    Array.init (min domains pairs) (fun _ -> Simcore.Engine.create ())
+  in
   let mk_pair i =
-    let sa = Simcore.Engine.shard engine ~id:(2 * i mod k) in
-    let sb = Simcore.Engine.shard engine ~id:((2 * i + 1) mod k) in
-    let a =
-      Host.create ?pool_frames sa params spec ~name:(Printf.sprintf "p%d-a" i)
+    let engine = engines.(i mod Array.length engines) in
+    let host side =
+      Host.create ?pool_frames engine params spec
+        ~name:(Printf.sprintf "p%d-%s" i side)
     in
-    let b =
-      Host.create ?pool_frames sb params spec ~name:(Printf.sprintf "p%d-b" i)
-    in
+    let a = host "a" in
+    let b = host "b" in
     Net.Adapter.connect a.Host.adapter b.Host.adapter;
     (a, b)
   in
-  { engine; pairs = Array.init pairs mk_pair }
-
-let engine t = t.engine
-let pairs t = t.pairs
-let run t = Simcore.Engine.run t.engine
+  { engines; pairs = Array.init pairs mk_pair }
 
 let page = 4096
 
@@ -37,11 +34,9 @@ let make_buf host ~len =
 
 (* Deterministic pipelined workload: on every pair, the sender issues
    [messages] datagrams back to back while the receiver preposts one
-   app-buffer input per message.  All submissions happen from driver
-   context before the run, so the only cross-shard traffic is the
-   adapters' wire events — which is exactly what the lookahead protocol
-   covers.  Message sizes are drawn from a pure per-pair [Rng.stream],
-   so the workload is identical for every domain count. *)
+   app-buffer input per message.  Message sizes are drawn from a pure
+   per-pair [Rng.stream], so the workload is identical for every domain
+   count. *)
 let drive t ~seed ~messages =
   if messages < 1 then invalid_arg "Cluster.drive: messages must be >= 1";
   let root = Simcore.Rng.create ~seed in
@@ -85,13 +80,16 @@ let drive t ~seed ~messages =
         log)
       t.pairs
   in
-  Simcore.Engine.run t.engine;
+  Simcore.Engine.run_all t.engines;
   let all = Buffer.create 256 in
   Array.iteri
     (fun i log ->
       Buffer.add_string all (Printf.sprintf "p%d=%s|" i (Digest.string (Buffer.contents log) |> Digest.to_hex)))
     logs;
-  Buffer.add_string all
-    (Printf.sprintf "t=%d"
-       (Simcore.Sim_time.to_ns (Simcore.Engine.now t.engine)));
+  let t_end =
+    Array.fold_left
+      (fun acc e -> Simcore.Sim_time.max acc (Simcore.Engine.now e))
+      Simcore.Sim_time.zero t.engines
+  in
+  Buffer.add_string all (Printf.sprintf "t=%d" (Simcore.Sim_time.to_ns t_end));
   Digest.to_hex (Digest.string (Buffer.contents all))

@@ -166,13 +166,7 @@ let create engine p ~page_size ~name =
 
 let connect a b =
   a.peer <- Some b;
-  b.peer <- Some a;
-  (* Propagation delay is the conservative-lookahead floor when the two
-     endpoints live on different engine shards. *)
-  Simcore.Engine.register_link a.engine b.engine
-    ~latency:a.p.Net_params.prop_delay;
-  Simcore.Engine.register_link b.engine a.engine
-    ~latency:b.p.Net_params.prop_delay
+  b.peer <- Some a
 
 let params t = t.p
 let set_trace_scope t scope = t.trace <- Some scope
@@ -475,8 +469,6 @@ and rx_burst t ~vc ~chunk ~chunk_len ~pdu_off ~hdr_len ~total_len ~is_last
      the sender after the propagation delay. *)
   (match t.peer with
   | Some sender ->
-    (* Schedule on the sender's shard at an absolute instant derived from
-       the receiver's clock: the two clocks may differ mid-window. *)
     Simcore.Engine.at sender.engine
       ~time:
         (Simcore.Sim_time.add
@@ -636,15 +628,8 @@ and send_burst t job ~i ~cells_done =
             ~hdr_len:fl.fl_hdr_len ~total_len:fl.fl_total ~is_last ~tx_crc
             ~cells:burst_cells;
           (* rx_burst consumed the staging buffer synchronously; recycle
-             it.  Cross-shard, the recycle must travel back as a relaxed
-             post: giving directly would let the sender reuse (and
-             overwrite) the chunk while this shard may still be reading
-             concurrently within the same window. *)
-          if Simcore.Engine.same_shard t.engine peer.engine then
-            Memory.Buf_pool.give t.tx_pool chunk
-          else
-            Simcore.Engine.post_relaxed t.engine (fun () ->
-                Memory.Buf_pool.give t.tx_pool chunk)));
+             it. *)
+          Memory.Buf_pool.give t.tx_pool chunk));
     Simcore.Engine.at t.engine ~time:end_time (fun () ->
         if is_last then
           match fl.fl_fault with

@@ -1,140 +1,27 @@
-(* Discrete-event engine, sharded across OCaml 5 domains.
-
-   A value of type [t] is a handle on one shard of a simulation core.
-   [create ()] builds a single-shard core — the strictly sequential
-   engine every existing caller expects — while [create ~domains:k ()]
-   builds [k] shards that execute in parallel under a conservative
-   window protocol:
-
-   - every shard owns its wheel (event queue) and clock;
-   - the run loop repeats: merge cross-shard mailboxes, find the global
-     minimum pending timestamp [w], then let every shard execute its
-     events in the window [w, w + lookahead) concurrently, where
-     [lookahead] is the minimum cross-shard link latency registered by
-     {!register_link};
-   - an event that schedules onto another shard's handle is routed into
-     a per-(source, destination) SPSC {!Mailbox} and merged at the next
-     window boundary in [(time, source shard, post seq)] order, which
-     makes the merge — and therefore the whole run — deterministic for a
-     fixed shard count.
-
-   Conservative lookahead makes the windows race-free: a cross-shard
-   event generated inside [w, w + L) carries a timestamp of at least
-   [w + L] (network propagation is never cheaper than [L]), so it
-   always lands in a strictly later window.  Wall-clock-only effects
-   that don't respect the horizon (e.g. recycling a staging buffer back
-   to the sending adapter) travel as {e relaxed} posts, clamped to the
-   destination clock at merge time. *)
-
-type msg = {
-  m_time : int;
-  m_src : int;
-  m_seq : int;
-  m_relaxed : bool;
-  m_fn : unit -> unit;
-}
+(* Sequential discrete-event engine: one wheel, one clock.  [run_all]
+   runs independent engines side by side on OCaml domains. *)
 
 type t = {
-  core : core;
-  sid : int;
   queue : (unit -> unit) Wheel.t;
   mutable clock : Sim_time.t;
-  inboxes : msg Mailbox.t array; (* indexed by source shard *)
-  out_seqs : int array; (* next post seq per destination; producer-owned *)
 }
 
-and core = {
-  mutable shards : t array;
-  mutable lookahead : int; (* ns; 0 until a link is registered *)
-  active : bool Atomic.t; (* a parallel window is executing *)
-}
-
-(* The shard whose event is currently executing on this domain; [at] and
-   [schedule] consult it to route cross-shard calls through mailboxes. *)
-let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let create ?(domains = 1) () =
-  if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
-  let core = { shards = [||]; lookahead = 0; active = Atomic.make false } in
-  let mk sid =
-    {
-      core;
-      sid;
-      queue = Wheel.create ~dummy:(fun () -> ()) ();
-      clock = Sim_time.zero;
-      inboxes = Array.init domains (fun _ -> Mailbox.create ());
-      out_seqs = Array.make domains 0;
-    }
-  in
-  core.shards <- Array.init domains mk;
-  core.shards.(0)
+let create () =
+  { queue = Wheel.create ~dummy:(fun () -> ()) (); clock = Sim_time.zero }
 
 let now t = t.clock
-let domains t = Array.length t.core.shards
-let shard_id t = t.sid
 
-let shard t ~id =
-  if id < 0 || id >= domains t then invalid_arg "Engine.shard: no such shard";
-  t.core.shards.(id)
-
-let same_shard a b = a == b
-
-let register_link a b ~latency =
-  if a.core != b.core then
-    invalid_arg "Engine.register_link: shards of different engines";
-  let lat = Sim_time.to_ns latency in
-  if lat > 0 then
-    a.core.lookahead <-
-      (if a.core.lookahead = 0 then lat else Stdlib.min a.core.lookahead lat)
-
-let lookahead t = Sim_time.of_ns t.core.lookahead
-
-let local_push t key f =
+let at t ~time f =
+  let key = Sim_time.to_ns time in
   if key < Sim_time.to_ns t.clock then
     invalid_arg "Engine.at: scheduling in the simulated past";
   Wheel.push t.queue ~key f
 
-let post ~src ~dst ~time ~relaxed f =
-  let seq = src.out_seqs.(dst.sid) in
-  src.out_seqs.(dst.sid) <- seq + 1;
-  Mailbox.push dst.inboxes.(src.sid)
-    { m_time = time; m_src = src.sid; m_seq = seq; m_relaxed = relaxed; m_fn = f }
-
-let at t ~time f =
-  let key = Sim_time.to_ns time in
-  if Atomic.get t.core.active then
-    match Domain.DLS.get current_key with
-    | Some s when s != t && s.core == t.core ->
-      post ~src:s ~dst:t ~time:key ~relaxed:false f
-    | _ -> local_push t key f
-  else local_push t key f
-
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  (* Relative to the clock of the executing shard, not the target's:
-     cross-shard clocks drift apart within a window. *)
-  let base =
-    if Atomic.get t.core.active then
-      match Domain.DLS.get current_key with
-      | Some s when s.core == t.core -> s.clock
-      | _ -> t.clock
-    else t.clock
-  in
-  at t ~time:(Sim_time.add base delay) f
-
-let post_relaxed t f =
-  if Atomic.get t.core.active then
-    match Domain.DLS.get current_key with
-    | Some s when s != t && s.core == t.core ->
-      post ~src:s ~dst:t ~time:(Sim_time.to_ns s.clock) ~relaxed:true f
-    | _ -> f ()
-  else f ()
-
-(* {1 Sequential execution (single shard)} *)
+  at t ~time:(Sim_time.add t.clock delay) f
 
 let step t =
-  if Array.length t.core.shards > 1 then
-    invalid_arg "Engine.step: single-stepping a multi-domain engine";
   match Wheel.pop t.queue with
   | None -> false
   | Some (time, f) ->
@@ -142,217 +29,29 @@ let step t =
     f ();
     true
 
-let seq_run s =
-  let continue = ref true in
-  while !continue do
-    match Wheel.pop s.queue with
-    | None -> continue := false
-    | Some (time, f) ->
-      s.clock <- Sim_time.of_ns time;
-      f ()
-  done
-
-let seq_run_until s limit =
-  let continue = ref true in
-  while !continue do
-    match Wheel.peek_key s.queue with
-    | Some key when key <= Sim_time.to_ns limit -> (
-      match Wheel.pop s.queue with
-      | Some (time, f) ->
-        s.clock <- Sim_time.of_ns time;
-        f ()
-      | None -> assert false)
-    | Some _ | None -> continue := false
-  done;
-  if Sim_time.compare s.clock limit < 0 then s.clock <- limit
-
-(* {1 Parallel execution} *)
-
-(* Coordinator/worker rendezvous: a generation barrier on one mutex.
-   The coordinator publishes (epoch, window_hi) and runs shard 0's
-   window itself; workers run shards 1..k-1 and signal [done_] when the
-   last one finishes.  Mailbox drains happen only between windows, so
-   the mutex handoff is also the memory fence that publishes every
-   cross-shard post. *)
-type barrier = {
-  mutex : Mutex.t;
-  start : Condition.t;
-  done_ : Condition.t;
-  mutable epoch : int;
-  mutable window_hi : int;
-  mutable stop : bool;
-  mutable unfinished : int;
-  mutable failure : exn option;
-}
-
-let exec_window s ~hi =
-  Domain.DLS.set current_key (Some s);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_key None)
-  @@ fun () ->
-  let continue = ref true in
-  while !continue do
-    match Wheel.peek_key s.queue with
-    | Some key when key < hi -> (
-      match Wheel.pop s.queue with
-      | Some (time, f) ->
-        s.clock <- Sim_time.of_ns time;
-        f ()
-      | None -> assert false)
-    | _ -> continue := false
-  done
-
-let worker s (b : barrier) =
-  let my_epoch = ref 0 in
-  let running = ref true in
-  Mutex.lock b.mutex;
-  while !running do
-    while b.epoch = !my_epoch && not b.stop do
-      Condition.wait b.start b.mutex
-    done;
-    if b.stop then running := false
-    else begin
-      my_epoch := b.epoch;
-      let hi = b.window_hi in
-      Mutex.unlock b.mutex;
-      let failed = try exec_window s ~hi; None with e -> Some e in
-      Mutex.lock b.mutex;
-      (match failed with
-      | Some e when b.failure = None -> b.failure <- Some e
-      | _ -> ());
-      b.unfinished <- b.unfinished - 1;
-      if b.unfinished = 0 then Condition.broadcast b.done_
-    end
-  done;
-  Mutex.unlock b.mutex
-
-let compare_msg a b =
-  if a.m_time <> b.m_time then compare a.m_time b.m_time
-  else if a.m_src <> b.m_src then compare a.m_src b.m_src
-  else compare a.m_seq b.m_seq
-
-(* Deterministic merge: collect every pending cross-shard post for each
-   destination, order by (time, source shard, post seq), and push in
-   that order — the wheel's insertion-order tie-break then fixes the
-   execution order of same-instant arrivals. *)
-let merge_inboxes core =
-  Array.iter
-    (fun dst ->
-      let msgs =
-        Array.fold_left
-          (fun acc mb -> List.rev_append (Mailbox.drain mb) acc)
-          [] dst.inboxes
-      in
-      match msgs with
-      | [] -> ()
-      | _ ->
-        List.iter
-          (fun m ->
-            let clock_ns = Sim_time.to_ns dst.clock in
-            let key =
-              if m.m_relaxed then Stdlib.max m.m_time clock_ns else m.m_time
-            in
-            if key < clock_ns then
-              invalid_arg "Engine: cross-shard event in the simulated past";
-            Wheel.push dst.queue ~key m.m_fn)
-          (List.sort compare_msg msgs))
-    core.shards
-
-let next_key core =
-  Array.fold_left
-    (fun acc s ->
-      match (acc, Wheel.peek_key s.queue) with
-      | None, k | k, None -> k
-      | Some a, Some b -> Some (Stdlib.min a b))
-    None core.shards
-
-let parallel_run core ~limit =
-  let k = Array.length core.shards in
-  let b =
-    {
-      mutex = Mutex.create ();
-      start = Condition.create ();
-      done_ = Condition.create ();
-      epoch = 0;
-      window_hi = 0;
-      stop = false;
-      unfinished = 0;
-      failure = None;
-    }
-  in
-  Atomic.set core.active true;
-  let doms =
-    Array.init (k - 1) (fun i ->
-        let s = core.shards.(i + 1) in
-        Domain.spawn (fun () -> worker s b))
-  in
-  let finish () =
-    Mutex.lock b.mutex;
-    b.stop <- true;
-    Condition.broadcast b.start;
-    Mutex.unlock b.mutex;
-    Array.iter Domain.join doms;
-    Atomic.set core.active false
-  in
-  Fun.protect ~finally:finish
-  @@ fun () ->
-  let continue = ref true in
-  while !continue do
-    merge_inboxes core;
-    match next_key core with
-    | None -> continue := false
-    | Some w when (match limit with Some l -> w > l | None -> false) ->
-      continue := false
-    | Some w ->
-      let la = if core.lookahead > 0 then core.lookahead else 1 in
-      let hi = w + la in
-      let hi = match limit with Some l -> Stdlib.min hi (l + 1) | None -> hi in
-      Mutex.lock b.mutex;
-      b.window_hi <- hi;
-      b.epoch <- b.epoch + 1;
-      b.unfinished <- k - 1;
-      Condition.broadcast b.start;
-      Mutex.unlock b.mutex;
-      let failed = try exec_window core.shards.(0) ~hi; None with e -> Some e in
-      Mutex.lock b.mutex;
-      (match failed with
-      | Some e when b.failure = None -> b.failure <- Some e
-      | _ -> ());
-      while b.unfinished > 0 do
-        Condition.wait b.done_ b.mutex
-      done;
-      let fail = b.failure in
-      Mutex.unlock b.mutex;
-      (match fail with Some e -> raise e | None -> ())
-  done;
-  (* Align the shard clocks so driver-context reads are well-defined
-     (and identical to the sequential engine's final clock). *)
-  match limit with
-  | Some l ->
-    let l = Sim_time.of_ns l in
-    Array.iter
-      (fun s -> if Sim_time.compare s.clock l < 0 then s.clock <- l)
-      core.shards
-  | None ->
-    let m =
-      Array.fold_left
-        (fun acc s -> Sim_time.max acc s.clock)
-        Sim_time.zero core.shards
-    in
-    Array.iter (fun s -> s.clock <- m) core.shards
-
-let run t =
-  if Array.length t.core.shards = 1 then seq_run t
-  else parallel_run t.core ~limit:None
+let run t = while step t do () done
 
 let run_until t limit =
-  if Array.length t.core.shards = 1 then seq_run_until t limit
-  else parallel_run t.core ~limit:(Some (Sim_time.to_ns limit))
+  let continue = ref true in
+  while !continue do
+    match Wheel.peek_key t.queue with
+    | Some key when key <= Sim_time.to_ns limit -> ignore (step t)
+    | Some _ | None -> continue := false
+  done;
+  if Sim_time.compare t.clock limit < 0 then t.clock <- limit
 
-let pending t =
-  Array.fold_left
-    (fun acc s ->
-      Array.fold_left
-        (fun acc mb -> acc + Mailbox.length mb)
-        (acc + Wheel.length s.queue)
-        s.inboxes)
-    0 t.core.shards
+let pending t = Wheel.length t.queue
+
+let run_all engines =
+  let outcome f = match f () with () -> None | exception e -> Some e in
+  let spawned = ref [] in
+  (* A failed spawn still lets the spawned domains finish and be joined. *)
+  let first =
+    outcome (fun () ->
+        for i = Array.length engines - 1 downto 1 do
+          spawned := Domain.spawn (fun () -> run engines.(i)) :: !spawned
+        done;
+        if Array.length engines > 0 then run engines.(0))
+  in
+  let rest = List.map (fun d -> outcome (fun () -> Domain.join d)) !spawned in
+  Option.iter raise (List.find_map Fun.id (first :: rest))

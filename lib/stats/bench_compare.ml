@@ -32,9 +32,6 @@ type report = {
   entries : entry list;
   missing : string list; (* in baseline, not in current *)
   extra : string list; (* in current, not in baseline *)
-  env_mismatch : string option;
-      (* the two runs are not comparable at all, e.g. different engine
-         domain counts; always a failure *)
 }
 
 let default_sim_threshold = 0.001
@@ -100,15 +97,7 @@ let compare ?(sim_threshold = default_sim_threshold)
         | Some _ -> None)
       current.Bench_result.metrics
   in
-  let env_mismatch =
-    let b = baseline.Bench_result.env and c = current.Bench_result.env in
-    if b.Bench_result.domains <> c.Bench_result.domains then
-      Some
-        (Printf.sprintf "baseline ran with %d engine domain(s), current with %d"
-           b.Bench_result.domains c.Bench_result.domains)
-    else None
-  in
-  { section = baseline.Bench_result.section; entries; missing; extra; env_mismatch }
+  { section = baseline.Bench_result.section; entries; missing; extra }
 
 let regressions r = List.filter (fun e -> e.verdict = Regression) r.entries
 let improvements r = List.filter (fun e -> e.verdict = Improvement) r.entries
@@ -116,7 +105,7 @@ let improvements r = List.filter (fun e -> e.verdict = Improvement) r.entries
 (* Wall-clock regressions can be silenced (shared CI runners are noisy);
    sim regressions and missing metrics always fail. *)
 let passed ?(ignore_wall = false) r =
-  r.env_mismatch = None && r.missing = []
+  r.missing = []
   && List.for_all (fun e -> ignore_wall && e.kind = Bench_result.Wall) (regressions r)
 
 let render r =
@@ -126,10 +115,6 @@ let render r =
     (Printf.sprintf "section %s: %d metric(s) compared, %d regression(s), %d improvement(s), %d missing, %d new\n"
        r.section (List.length r.entries) (List.length bad) (List.length good)
        (List.length r.missing) (List.length r.extra));
-  (match r.env_mismatch with
-  | Some why ->
-      Buffer.add_string b (Printf.sprintf "  ENV MISMATCH %s\n" why)
-  | None -> ());
   let show e tag =
     Buffer.add_string b
       (Printf.sprintf "  %s %-58s %14.6g -> %14.6g %s (%+.2f%%, threshold %.2f%%, %s)\n" tag

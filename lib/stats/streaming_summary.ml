@@ -8,7 +8,7 @@
 
    Why a histogram and not a random reservoir or a P^2 estimator: the
    fabric engine must produce bit-identical results whatever the domain
-   count, and shard-local summaries must merge into one global summary
+   count, and per-port summaries must merge into one global summary
    after a parallel run.  A sampling reservoir needs a random source
    (merging two is order-sensitive), and P^2 marker updates neither
    merge nor commute.  Bucket counts do both: [merge] is a vector add,

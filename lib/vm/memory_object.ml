@@ -8,11 +8,18 @@ type t = {
   pageable : bool;
 }
 
-let counter = ref 0
+(* Ids are minted atomically: independent simulations may create
+   objects on several domains at once. *)
+let counter = Atomic.make 1
 
 let create ?(pageable = true) () =
-  incr counter;
-  { id = !counter; pages = Hashtbl.create 8; shadow = None; input_refs = 0; pageable }
+  {
+    id = Atomic.fetch_and_add counter 1;
+    pages = Hashtbl.create 8;
+    shadow = None;
+    input_refs = 0;
+    pageable;
+  }
 
 let shadow_of parent =
   let obj = create ~pageable:parent.pageable () in

@@ -17,12 +17,12 @@ type t = {
   mutable valid : bool;
 }
 
-let counter = ref 0
+(* Minted atomically, like [Memory_object] ids. *)
+let counter = Atomic.make 1
 
 let make ~start_vpn ~npages ~state ~obj =
-  incr counter;
   {
-    id = !counter;
+    id = Atomic.fetch_and_add counter 1;
     start_vpn;
     npages;
     state;

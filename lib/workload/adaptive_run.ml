@@ -8,7 +8,6 @@ type config = {
   spec : Machine.Machine_spec.t;
   thresholds : Genie.Thresholds.t option;
   recv_offset : int;
-  domains : int;
 }
 
 let default ~scheme ~phases =
@@ -22,7 +21,6 @@ let default ~scheme ~phases =
     recv_offset = (match scheme with
       | Genie.Stage_cost.Pooled_unaligned -> 24
       | Genie.Stage_cost.Early_demux | Genie.Stage_cost.Pooled_aligned -> 0);
-    domains = 1;
   }
 
 type outcome = {
@@ -98,7 +96,7 @@ let run_rounds cfg ~make_policy =
   if total = 0 then invalid_arg "Adaptive_run: empty schedule";
   if cfg.warmup >= total then invalid_arg "Adaptive_run: warmup >= rounds";
   let world =
-    Genie.World.create ~domains:cfg.domains ~params:cfg.params
+    Genie.World.create ~params:cfg.params
       ~spec_a:cfg.spec ~spec_b:cfg.spec ?thresholds:cfg.thresholds ()
   in
   let a_host = world.Genie.World.a and b_host = world.Genie.World.b in
@@ -344,8 +342,8 @@ type convergence = {
   c_settled : bool;
 }
 
-let converge ?(domains = 1) ~start_index regime =
-  let cfg = { regime.r_config with domains } in
+let converge ~start_index regime =
+  let cfg = regime.r_config in
   let statics =
     List.map
       (fun sem ->

@@ -7,9 +7,7 @@
     directions (a constant per-round overhead, identical across all
     candidates).  A static run and an adaptive run therefore differ
     only in the per-round choice made at [a] — the fair comparison the
-    convergence gates need — and the {!Genie.Adapt} controller is only
-    ever touched from [a]'s shard, keeping multi-domain runs
-    deterministic.
+    convergence gates need.
 
     The workload is a static phase schedule (both hosts derive their
     per-round datagram lengths from it independently — nothing mutable
@@ -29,12 +27,11 @@ type config = {
   thresholds : Genie.Thresholds.t option;
   recv_offset : int;
       (** application-buffer byte offset within its page (0 = aligned) *)
-  domains : int;
 }
 
 val default : scheme:Genie.Stage_cost.scheme -> phases:phase list -> config
 (** OC-3 / Micron P166, warmup 4, default thresholds, offset 0 (24 when
-    [scheme] is [Pooled_unaligned]), 1 domain. *)
+    [scheme] is [Pooled_unaligned]). *)
 
 type outcome = {
   mean_rtt_us : float;  (** mean measured round trip, sim time *)
@@ -114,7 +111,7 @@ type convergence = {
           half of the run's epochs *)
 }
 
-val converge : ?domains:int -> start_index:int -> regime -> convergence
+val converge : start_index:int -> regime -> convergence
 (** Run the full experiment: statics for every candidate, then the
     adaptive run starting from the [start_index]-th non-winning
     candidate (mod their count) — so different indices exercise

@@ -12,12 +12,12 @@
    - latency populations stream into fixed-size histograms
      ([Stats.Streaming_summary]); nothing retains per-flow data.
 
-   Determinism across domain counts: each port's client state is only
-   ever touched on its client shard and server state on its server
-   shard.  The cross-shard interactions — flow-open metadata, chunk
-   PDUs, completion/recycle — all travel at >= prop_delay, the engine's
-   lookahead floor, and port Rng streams are split from the root seed,
-   so the event history is independent of how shards map to domains. *)
+   Determinism across domain counts: ports share no state — each has
+   its own hosts, link, Rng stream (split from the root seed), flow
+   table and quota — so each port is an independent simulation.  Ports
+   are spread over [min domains ports] sequential engines that run on
+   their own domains; a port's event history is the same whichever
+   engine carries it. *)
 
 type config = {
   hosts : int;
@@ -78,8 +78,8 @@ type outcome = {
 
 (* One pooled circuit: a credited VC with an endpoint pair and a reused
    buffer on each side.  The [fl_*] fields are the state machine of the
-   flow currently riding the circuit (client shard only); the [rx_*]
-   fields are the server shard's view of it.  [in_sem] is the circuit's
+   flow currently riding the circuit (client host); the [rx_*] fields
+   are the server host's view of it.  [in_sem] is the circuit's
    fixed input-side semantics; the output side varies per flow. *)
 type circuit = {
   ci : int;
@@ -93,7 +93,7 @@ type circuit = {
   mutable fl_sent : int;
   mutable fl_sem : Genie.Semantics.t;
   ctl : Genie.Adapt.t option;
-      (* client-shard controller, one per circuit slot: each flow riding
+      (* client-host controller, one per circuit slot: each flow riding
          the circuit starts on the controller's current choice and its
          chunks feed the evidence window — per-flow adaptation in
          O(active) memory. *)
@@ -116,7 +116,7 @@ type port = {
   mutable rejected : int;
   mutable retries : int;
   mutable host_sum : int;  (* sum of accepted flows' source-host ids *)
-  (* server-shard side *)
+  (* server-host side *)
   sojourn : Stats.Streaming_summary.t;
   mutable completed : int;
   mutable rx_bytes : int;
@@ -164,12 +164,14 @@ let validate cfg =
   if cfg.size_min <= 0 || cfg.size_max < cfg.size_min then
     invalid_arg "Fabric.run: need 0 < size_min <= size_max";
   if cfg.chunk_bytes <= 0 then
-    invalid_arg "Fabric.run: chunk_bytes must be positive"
+    invalid_arg "Fabric.run: chunk_bytes must be positive";
+  if cfg.domains < 1 then invalid_arg "Fabric.run: domains must be >= 1"
 
 let run cfg =
   validate cfg;
-  let engine = Simcore.Engine.create ~domains:cfg.domains () in
-  let k = Simcore.Engine.domains engine in
+  let engines =
+    Array.init (min cfg.domains cfg.ports) (fun _ -> Simcore.Engine.create ())
+  in
   let root = Simcore.Rng.create ~seed:cfg.seed in
   let prop = cfg.params.Net.Net_params.prop_delay in
   (* Payload bytes per us at line rate: 48 payload bytes per cell. *)
@@ -201,13 +203,14 @@ let run cfg =
   in
   let mean_gap_us = mean_size /. (cfg.load *. bytes_per_us) in
   let make_port i =
-    let sa = Simcore.Engine.shard engine ~id:(2 * i mod k) in
-    let sb = Simcore.Engine.shard engine ~id:((2 * i + 1) mod k) in
+    let engine = engines.(i mod Array.length engines) in
     let a =
-      Genie.Host.create sa cfg.params cfg.spec ~name:(Printf.sprintf "f%d-a" i)
+      Genie.Host.create engine cfg.params cfg.spec
+        ~name:(Printf.sprintf "f%d-a" i)
     in
     let b =
-      Genie.Host.create sb cfg.params cfg.spec ~name:(Printf.sprintf "f%d-b" i)
+      Genie.Host.create engine cfg.params cfg.spec
+        ~name:(Printf.sprintf "f%d-b" i)
     in
     Net.Adapter.connect a.Genie.Host.adapter b.Genie.Host.adapter;
     let rng = Simcore.Rng.stream root ~id:i in
@@ -281,7 +284,7 @@ let run cfg =
   (* Server side: one input per circuit is always posted; each
      completion counts a chunk of the open flow, and the last chunk
      records the sojourn and posts the recycle back to the client
-     shard.  Runs entirely on the server shard. *)
+     host. *)
   let serve p c =
     let rec post () =
       ignore
@@ -318,7 +321,7 @@ let run cfg =
      previous one's dispose retires (the circuit buffer is reused, so a
      chunk may not be overwritten while the adapter can still read it).
      [`Again] is frame-exhaustion backpressure: retry after a fixed
-     backoff.  Runs entirely on the client shard. *)
+     backoff. *)
   let rec send_chunk p c =
     match
       Genie.Endpoint.output c.ea ~sem:c.fl_sem ~buf:c.cbuf
@@ -398,7 +401,7 @@ let run cfg =
   in
   Array.iter (fun p -> Array.iter (fun c -> serve p c) p.circuits) ports;
   Array.iter drive ports;
-  Simcore.Engine.run engine;
+  Simcore.Engine.run_all engines;
   (* Sequential post-run fold, port order fixed. *)
   let offered = ref 0
   and accepted = ref 0
@@ -450,9 +453,13 @@ let run cfg =
         Buffer.add_string acc
           (Printf.sprintf "am=%d;ae=%d|" !p_migr !p_epochs))
     ports;
-  let duration_us = Simcore.Sim_time.to_us (Simcore.Engine.now engine) in
-  Buffer.add_string acc
-    (Printf.sprintf "t=%d" (Simcore.Sim_time.to_ns (Simcore.Engine.now engine)));
+  let t_end =
+    Array.fold_left
+      (fun acc e -> Simcore.Sim_time.max acc (Simcore.Engine.now e))
+      Simcore.Sim_time.zero engines
+  in
+  let duration_us = Simcore.Sim_time.to_us t_end in
+  Buffer.add_string acc (Printf.sprintf "t=%d" (Simcore.Sim_time.to_ns t_end));
   {
     offered = !offered;
     accepted = !accepted;

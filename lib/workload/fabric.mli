@@ -29,11 +29,11 @@
     input-side semantics at pool construction.
 
     Runs are deterministic for a given [seed] {e and independent of the
-    domain count}: all per-port client state lives on the port's client
-    shard, server state on its server shard, and every cross-shard
-    interaction travels at or beyond the propagation delay, inside the
-    engine's conservative-lookahead contract.  {!outcome.digest} is the
-    gate. *)
+    domain count}: ports share no state, so each port is an independent
+    simulation.  The run builds [k = min domains ports] sequential
+    engines, puts both hosts of port [i] on engine [i mod k], and drains
+    them with {!Simcore.Engine.run_all}, one OCaml domain per engine.
+    {!outcome.digest} is the gate. *)
 
 type config = {
   hosts : int;  (** logical client hosts fanning in *)
@@ -55,7 +55,9 @@ type config = {
           stays O(active flows) because controllers live in the circuit
           pool.  When [false] the engine behaves (and digests)
           byte-identically to a build without the controller. *)
-  domains : int;  (** engine shards; must not change the digest *)
+  domains : int;
+      (** OCaml domains the ports are spread over (>= 1); changes only
+          how fast the host runs, never the digest *)
   seed : int;
   params : Net.Net_params.t;
   spec : Machine.Machine_spec.t;
@@ -87,7 +89,7 @@ type outcome = {
   adapt_epochs : int;  (** evidence epochs closed across all controllers *)
   digest : string;
       (** deterministic digest of per-port accounting, sojourn
-          populations and final simulated time *)
+          populations and the latest final simulated time *)
 }
 
 val run : config -> outcome

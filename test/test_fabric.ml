@@ -91,9 +91,12 @@ let test_fabric_accounting () =
 
 let test_fabric_digest_domains () =
   let run domains = Fabric.run { small with Fabric.domains } in
-  let o1 = run 1 and o2 = run 2 in
+  let o1 = run 1 and o2 = run 2 and o3 = run 3 in
   Alcotest.(check string) "1 and 2 domains, same digest" o1.Fabric.digest
     o2.Fabric.digest;
+  (* The small config has 2 ports: 3 domains clamps to one per port. *)
+  Alcotest.(check string) "1 and 3 domains, same digest" o1.Fabric.digest
+    o3.Fabric.digest;
   Alcotest.(check int) "same completions" o1.Fabric.completed
     o2.Fabric.completed;
   let o1' = run 1 in
@@ -104,6 +107,14 @@ let test_fabric_digest_domains () =
   in
   Alcotest.(check bool) "distinct seeds, distinct digests" true
     (od.Fabric.digest <> o1.Fabric.digest)
+
+let test_domains_validated () =
+  Alcotest.check_raises "fabric rejects domains = 0"
+    (Invalid_argument "Fabric.run: domains must be >= 1") (fun () ->
+      ignore (Fabric.run { small with Fabric.domains = 0 }));
+  Alcotest.check_raises "cluster rejects domains = 0"
+    (Invalid_argument "Cluster.create: domains must be >= 1") (fun () ->
+      ignore (Genie.Cluster.create ~domains:0 ()))
 
 (* The small config's digest, pinned.  Digests equal across domains do
    not catch a change that moves simulated behaviour on every domain
@@ -149,6 +160,8 @@ let suite =
       test_fabric_accounting;
     Alcotest.test_case "fabric digest across domains" `Quick
       test_fabric_digest_domains;
+    Alcotest.test_case "fabric and cluster reject domains 0" `Quick
+      test_domains_validated;
     Alcotest.test_case "fabric small config golden digest" `Quick
       test_fabric_golden_digest;
     Alcotest.test_case "fabric overload rejects" `Quick

@@ -1,6 +1,6 @@
-(* Parallel-engine determinism: the same simulation must produce
-   bit-identical results for every domain count, and the timer wheel
-   must preserve the binary heap's exact pop order. *)
+(* Parallel runs of independent engines: the same simulation must
+   produce bit-identical results for every domain count, and the timer
+   wheel must preserve the binary heap's exact pop order. *)
 
 module T = Simcore.Sim_time
 
@@ -139,7 +139,7 @@ let rng_stream_laws =
       a1 = a2 && a1 = a3 && parent_untouched
       && (i = j || a1 <> draw (Simcore.Rng.stream (base ()) ~id:j)))
 
-(* {1 Engine cross-domain equivalence} *)
+(* {1 Cluster digests across domain counts} *)
 
 let digest_for ~domains ~pairs ~seed ~messages =
   let c = Genie.Cluster.create ~domains ~pairs () in
@@ -157,66 +157,43 @@ let cluster_digest_equivalence =
         QCheck.Test.fail_reportf "digests diverge: 1:%s 2:%s 4:%s" d1 d2 d4;
       true)
 
-let test_world_two_domains () =
-  (* A two-domain World runs the same transfer to the same instant as
-     the sequential one. *)
-  let run ~domains =
-    let w = Genie.World.create ~domains () in
-    let ea, eb = Genie.World.endpoint_pair w ~vc:1 ~mode:Net.Adapter.Early_demux in
-    let page = 4096 in
-    let make_buf host ~len =
-      let space = Genie.Host.new_space host in
-      let region =
-        Vm.Address_space.map_region space ~npages:((len + page - 1) / page)
-      in
-      Genie.Buf.make space
-        ~addr:(Vm.Address_space.base_addr region ~page_size:page)
-        ~len
-    in
-    let len = 16384 in
-    let got = ref None in
-    let rbuf = make_buf w.Genie.World.b ~len in
-    ignore
-      (Genie.Endpoint.input eb ~sem:Genie.Semantics.emulated_copy
-         ~spec:(Genie.Input_path.App_buffer rbuf)
-         ~on_complete:(fun r ->
-           got := Some ((Genie.Input_path.ok r), Genie.Host.now_us w.Genie.World.b)));
-    let sbuf = make_buf w.Genie.World.a ~len in
-    Genie.Buf.fill_pattern sbuf ~seed:42;
-    ignore (Genie.Endpoint.output ea ~sem:Genie.Semantics.emulated_copy ~buf:sbuf ());
-    Genie.World.run w;
-    (!got, Genie.Buf.read rbuf)
-  in
-  let r1 = run ~domains:1 and r2 = run ~domains:2 in
-  Alcotest.(check bool) "delivered" true (fst r1 <> None);
-  Alcotest.(check bool) "identical across domains" true (r1 = r2)
+(* {1 run_all} *)
 
-let test_engine_lookahead_registration () =
-  let e = Simcore.Engine.create ~domains:2 () in
-  let s1 = Simcore.Engine.shard e ~id:1 in
-  Alcotest.(check int) "no link yet" 0 (T.to_ns (Simcore.Engine.lookahead e));
-  Simcore.Engine.register_link e s1 ~latency:(T.of_ns 700);
-  Simcore.Engine.register_link s1 e ~latency:(T.of_ns 300);
-  Alcotest.(check int) "min latency" 300 (T.to_ns (Simcore.Engine.lookahead e));
-  Alcotest.(check int) "domains" 2 (Simcore.Engine.domains e);
-  Alcotest.(check bool) "shard identity" true
-    (Simcore.Engine.same_shard (Simcore.Engine.shard e ~id:0) e)
+let test_run_all_failure () =
+  (* An event on engine 1 raises while engine 0 still has work: the
+     exception reaches the caller only after engine 0 has drained. *)
+  let e0 = Simcore.Engine.create () and e1 = Simcore.Engine.create () in
+  let last0 = ref 0 in
+  for i = 1 to 1000 do
+    Simcore.Engine.schedule e0 ~delay:(T.of_ns (i * 10)) (fun () -> last0 := i)
+  done;
+  Simcore.Engine.schedule e1 ~delay:(T.of_ns 5) (fun () ->
+      failwith "engine 1 event");
+  Alcotest.check_raises "engine 1's exception reaches the caller"
+    (Failure "engine 1 event") (fun () -> Simcore.Engine.run_all [| e0; e1 |]);
+  Alcotest.(check int) "engine 0 ran every event" 1000 !last0;
+  Alcotest.(check int) "engine 0 drained" 0 (Simcore.Engine.pending e0);
+  Alcotest.(check int) "engine 0 clock at its last event" 10_000
+    (T.to_ns (Simcore.Engine.now e0))
 
-let test_fuzzer_digest_across_domains () =
-  (* The full fault-schedule fuzzer — exhaustion, link faults, batching —
-     must report the same replay digest sequentially and sharded. *)
-  let cfg = { Check.Fuzzer.default_config with steps = 400; check_every = 10 } in
-  let o1 = Check.Fuzzer.run { cfg with domains = 1 } in
-  let o2 = Check.Fuzzer.run { cfg with domains = 2 } in
-  let ok o =
-    match o.Check.Fuzzer.stop with
-    | Check.Fuzzer.Completed -> true
-    | Check.Fuzzer.Violations _ -> false
+(* {1 Id counters shared by every engine} *)
+
+let test_ids_distinct_across_domains () =
+  let n = 200_000 in
+  let distinct name mint =
+    let spawn () = Domain.spawn (fun () -> Array.init n (fun _ -> mint ())) in
+    let d1 = spawn () and d2 = spawn () in
+    let ids = Array.append (Domain.join d1) (Domain.join d2) in
+    let seen = Hashtbl.create (2 * n) in
+    Array.iter (fun id -> Hashtbl.replace seen id ()) ids;
+    Alcotest.(check int) name (2 * n) (Hashtbl.length seen)
   in
-  Alcotest.(check bool) "domains=1 clean" true (ok o1);
-  Alcotest.(check bool) "domains=2 clean" true (ok o2);
-  Alcotest.(check string) "replay digest identical" o1.Check.Fuzzer.digest
-    o2.Check.Fuzzer.digest
+  distinct "memory object ids" (fun () ->
+      (Vm.Memory_object.create ()).Vm.Memory_object.id);
+  let obj = Vm.Memory_object.create () in
+  distinct "region ids" (fun () ->
+      (Vm.Region.make ~start_vpn:0 ~npages:1 ~state:Vm.Region.Unmovable ~obj)
+        .Vm.Region.id)
 
 let suite =
   [
@@ -228,11 +205,9 @@ let suite =
     Alcotest.test_case "wheel cancel-while-scheduled" `Quick test_wheel_cancel;
     Alcotest.test_case "wheel floor guard" `Quick test_wheel_floor_guard;
     QCheck_alcotest.to_alcotest rng_stream_laws;
-    Alcotest.test_case "engine lookahead registration" `Quick
-      test_engine_lookahead_registration;
-    Alcotest.test_case "world identical across domains" `Quick
-      test_world_two_domains;
     QCheck_alcotest.to_alcotest cluster_digest_equivalence;
-    Alcotest.test_case "fuzzer digest across domains" `Quick
-      test_fuzzer_digest_across_domains;
+    Alcotest.test_case "run_all joins every domain on failure" `Quick
+      test_run_all_failure;
+    Alcotest.test_case "vm ids distinct across domains" `Quick
+      test_ids_distinct_across_domains;
   ]
