@@ -1263,7 +1263,8 @@ let run ?trace cfg =
      (* Storage end-state: sizes must match the flat-file model, every
         operation must have completed, and a full readback of each file
         must return exactly the model bytes — whatever the eviction,
-        writeback and fsync interleaving did to the cache. *)
+        writeback and fsync interleaving did to the cache.  After the
+        readbacks, each cache's own bookkeeping must pass its audit. *)
      if cfg.storage then begin
        List.iter
          (fun side ->
@@ -1310,7 +1311,17 @@ let run ?trace cfg =
                    "%d storage-VC inputs still pending after drain"
                    (Genie.Endpoint.pending_inputs st.st_ep))
          [ side_a; side_b ];
-       Genie.World.run w
+       Genie.World.run w;
+       List.iter
+         (fun side ->
+           Option.iter
+             (fun st ->
+               List.iter
+                 (audit_violation ~invariant:"page-cache" ~host:(sname side)
+                    ~subject:"bookkeeping" "%s")
+                 (Store.Page_cache.audit (Genie.File_io.cache st.st_fio)))
+             (storage_of side))
+         [ side_a; side_b ]
      end;
      (* final reap: every batched completion must be on a ring by now *)
      if cfg.batch then begin

@@ -29,7 +29,10 @@ type entry = {
   e_fd : int;
   e_page : int;
   frame : Memory.Frame.t;
-  mutable lru : int;  (* unique access stamp; eviction takes the minimum *)
+  (* recency-list neighbours, colder and hotter; an unlinked entry points
+     at itself *)
+  mutable prev : entry;
+  mutable next : entry;
   mutable pins : int;  (* reads in progress over this page *)
   mutable dirty : bool;
   mutable epoch : int;  (* bumped per dirtying; writeback compares at retire *)
@@ -56,15 +59,51 @@ type t = {
   alloc_frame : unit -> Memory.Frame.t option;
   free_frame : Memory.Frame.t -> unit;
   table : (int * int, entry) Hashtbl.t;
+  lru : entry;
+      (* sentinel closing the circular recency list: [lru.next] is the
+         coldest entry, [lru.prev] the hottest *)
+  dirty : (int * int, entry) Hashtbl.t;  (* exactly the entries marked [dirty] *)
   files : (int, file_rec) Hashtbl.t;
   mutable next_fd : int;
   mutable next_block : int;
-  mutable lru_clock : int;
-  mutable dirty_count : int;
   mutable flusher_armed : bool;
   throttled : (unit -> unit) Queue.t;
   mutable trace : Simcore.Tracer.scope option;
 }
+
+let new_entry fd page frame ~filling =
+  let rec e =
+    {
+      e_fd = fd;
+      e_page = page;
+      frame;
+      prev = e;
+      next = e;
+      pins = 0;
+      dirty = false;
+      epoch = 0;
+      wb_epoch = None;
+      filling;
+      fill_waiters = [];
+      clean_waiters = [];
+    }
+  in
+  e
+
+(* The sentinel's frame is never read, written or freed. *)
+let sentinel () =
+  new_entry (-1) (-1)
+    {
+      Memory.Frame.id = -1;
+      data = Bytes.empty;
+      input_refs = 0;
+      output_refs = 0;
+      wired = 0;
+      state = Memory.Frame.Free;
+      pageable = false;
+      known_zero = false;
+    }
+    ~filling:false
 
 let create ?(config = default_config) ~engine ~dev ~charging ~alloc_frame
     ~free_frame () =
@@ -77,11 +116,11 @@ let create ?(config = default_config) ~engine ~dev ~charging ~alloc_frame
     alloc_frame;
     free_frame;
     table = Hashtbl.create 256;
+    lru = sentinel ();
+    dirty = Hashtbl.create 64;
     files = Hashtbl.create 8;
     next_fd = 3;
     next_block = 0;
-    lru_clock = 0;
-    dirty_count = 0;
     flusher_armed = false;
     throttled = Queue.create ();
     trace = None;
@@ -93,7 +132,7 @@ let dev t = t.dev
 let engine t = t.engine
 let charging t = t.chg
 let cached_pages t = Hashtbl.length t.table
-let dirty_pages t = t.dirty_count
+let dirty_pages t = Hashtbl.length t.dirty
 let is_cached t ~fd ~page = Hashtbl.mem t.table (fd, page)
 
 let is_dirty t ~fd ~page =
@@ -131,29 +170,30 @@ let block_for t fr page =
 
 let entry t fd page = Hashtbl.find t.table (fd, page)
 
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev;
+  e.prev <- e;
+  e.next <- e
+
+(* Move [e] to the hot end of the recency list. *)
 let touch t e =
-  t.lru_clock <- t.lru_clock + 1;
-  e.lru <- t.lru_clock
+  unlink e;
+  let hot = t.lru.prev in
+  e.prev <- hot;
+  e.next <- t.lru;
+  hot.next <- e;
+  t.lru.prev <- e
 
 let insert t fd page frame ~filling =
-  let e =
-    {
-      e_fd = fd;
-      e_page = page;
-      frame;
-      lru = 0;
-      pins = 0;
-      dirty = false;
-      epoch = 0;
-      wb_epoch = None;
-      filling;
-      fill_waiters = [];
-      clean_waiters = [];
-    }
-  in
+  let e = new_entry fd page frame ~filling in
   touch t e;
   Hashtbl.add t.table (fd, page) e;
   e
+
+let remove t e =
+  unlink e;
+  Hashtbl.remove t.table (e.e_fd, e.e_page)
 
 let by_location a b = compare (a.e_fd, a.e_page) (b.e_fd, b.e_page)
 
@@ -200,7 +240,7 @@ let rec arm_flusher t =
     Simcore.Engine.schedule t.engine
       ~delay:(Simcore.Sim_time.of_us t.cfg.writeback_interval_us) (fun () ->
         t.flusher_armed <- false;
-        if t.dirty_count > 0 then begin
+        if dirty_pages t > 0 then begin
           kick_writeback t;
           arm_flusher t
         end)
@@ -210,8 +250,8 @@ and kick_writeback t =
   let dirty =
     Hashtbl.fold
       (fun _ e acc ->
-        if e.dirty && e.wb_epoch = None && not e.filling then e :: acc else acc)
-      t.table []
+        if e.wb_epoch = None && not e.filling then e :: acc else acc)
+      t.dirty []
   in
   List.iter
     (fun (b0, run) ->
@@ -225,7 +265,7 @@ and kick_writeback t =
               (match e.wb_epoch with
               | Some ep when e.dirty && ep = e.epoch ->
                 e.dirty <- false;
-                t.dirty_count <- t.dirty_count - 1;
+                Hashtbl.remove t.dirty (e.e_fd, e.e_page);
                 let ws = List.rev e.clean_waiters in
                 e.clean_waiters <- [];
                 List.iter (fun k -> k ()) ws
@@ -233,12 +273,12 @@ and kick_writeback t =
               e.wb_epoch <- None)
             run;
           drain_throttled t;
-          if t.dirty_count > 0 then arm_flusher t))
+          if dirty_pages t > 0 then arm_flusher t))
     (group_runs t dirty)
 
 and drain_throttled t =
   while
-    t.dirty_count <= t.cfg.dirty_throttle && not (Queue.is_empty t.throttled)
+    dirty_pages t <= t.cfg.dirty_throttle && not (Queue.is_empty t.throttled)
   do
     (Queue.pop t.throttled) ()
   done
@@ -249,23 +289,19 @@ let evictable e =
   e.pins = 0 && (not e.dirty) && (not e.filling) && e.wb_epoch = None
   && not (Memory.Frame.io_referenced e.frame)
 
-(* Coldest clean page; the lru stamp is unique, so the winner is
-   independent of hash iteration order. *)
+(* Coldest evictable page: the first one up the recency list, so the
+   cost is the length of the pinned, dirty or in-flight cold prefix. *)
 let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        if evictable e then
-          match acc with Some b when b.lru <= e.lru -> acc | _ -> Some e
-        else acc)
-      t.table None
+  let rec from e =
+    if e == t.lru then None
+    else if evictable e then begin
+      remove t e;
+      counter t "cache_evictions";
+      Some e.frame
+    end
+    else from e.next
   in
-  match victim with
-  | Some e ->
-    Hashtbl.remove t.table (e.e_fd, e.e_page);
-    counter t "cache_evictions";
-    Some e.frame
-  | None -> None
+  from t.lru.next
 
 (* One frame for a new page: evict when at capacity, allocate below it,
    fall back to eviction under exhaustion, and as a last resort kick
@@ -303,7 +339,7 @@ let mark_dirty t e =
   e.epoch <- e.epoch + 1;
   if not e.dirty then begin
     e.dirty <- true;
-    t.dirty_count <- t.dirty_count + 1;
+    Hashtbl.add t.dirty (e.e_fd, e.e_page) e;
     t.chg.charge C.Writeback_schedule ~bytes:0;
     arm_flusher t
   end
@@ -474,7 +510,7 @@ let write t ~fd ~off ~data ~on_complete =
         mark_dirty t e
       in
       let complete () =
-        if t.dirty_count > t.cfg.dirty_throttle then begin
+        if dirty_pages t > t.cfg.dirty_throttle then begin
           counter t "wb_throttles";
           Queue.add on_complete t.throttled;
           kick_writeback t
@@ -521,7 +557,7 @@ let write t ~fd ~off ~data ~on_complete =
       unpin ();
       if !rmw <> [] then submit_reads t !rmw;
       fr.size <- max fr.size (off + len);
-      if t.dirty_count >= t.cfg.dirty_high then kick_writeback t;
+      if dirty_pages t >= t.cfg.dirty_high then kick_writeback t;
       if !pending = 1 then
         Simcore.Engine.at t.engine ~time:(t.chg.charged_until ()) dec
       else dec ();
@@ -533,9 +569,7 @@ let fsync t ~fd ~on_complete =
   counter t "fsyncs";
   t.chg.charge C.Cache_lookup ~bytes:0;
   let dirty =
-    Hashtbl.fold
-      (fun _ e acc -> if e.e_fd = fd && e.dirty then e :: acc else acc)
-      t.table []
+    Hashtbl.fold (fun _ e acc -> if e.e_fd = fd then e :: acc else acc) t.dirty []
     |> List.sort by_location
   in
   let barrier () = Block_dev.flush t.dev ~on_complete in
@@ -555,16 +589,67 @@ let fsync t ~fd ~on_complete =
   end
 
 let drop_caches t =
-  let victims =
-    Hashtbl.fold
-      (fun _ e acc -> if evictable e then e :: acc else acc)
-      t.table []
-    |> List.sort by_location
+  let rec collect acc e =
+    if e == t.lru then acc
+    else collect (if evictable e then e :: acc else acc) e.next
   in
+  let victims = collect [] t.lru.next |> List.sort by_location in
   List.iter
     (fun e ->
-      Hashtbl.remove t.table (e.e_fd, e.e_page);
+      remove t e;
       t.free_frame e.frame)
     victims;
   counter t ~n:(List.length victims) "cache_evictions";
   List.length victims
+
+let audit t =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  let name e = Printf.sprintf "fd=%d page=%d" e.e_fd e.e_page in
+  let cached e =
+    match Hashtbl.find_opt t.table (e.e_fd, e.e_page) with
+    | Some c -> c == e
+    | None -> false
+  in
+  let n = Hashtbl.length t.table in
+  let seen = Hashtbl.create n in
+  if t.lru.next.prev != t.lru || t.lru.prev.next != t.lru then
+    err "recency list: sentinel links are inconsistent";
+  (* bounded, so a list that loops without closing still terminates *)
+  let rec walk steps e =
+    if e == t.lru then ()
+    else if steps > n then
+      err "recency list: longer than the table's %d entries" n
+    else begin
+      if e.next.prev != e || e.prev.next != e then
+        err "recency list: %s has inconsistent prev/next links" (name e);
+      if not (cached e) then
+        err "recency list: %s is listed but not in the table" (name e);
+      if Hashtbl.mem seen (e.e_fd, e.e_page) then
+        err "recency list: %s is listed twice" (name e)
+      else Hashtbl.add seen (e.e_fd, e.e_page) ();
+      walk (steps + 1) e.next
+    end
+  in
+  walk 0 t.lru.next;
+  let ndirty = ref 0 in
+  Hashtbl.iter
+    (fun k e ->
+      if not (Hashtbl.mem seen k) then
+        err "recency list: %s is in the table but not listed" (name e);
+      let in_set =
+        match Hashtbl.find_opt t.dirty k with Some d -> d == e | None -> false
+      in
+      if e.dirty then incr ndirty;
+      if e.dirty <> in_set then
+        err "dirty set: %s has dirty=%b but is %s the set" (name e) e.dirty
+          (if in_set then "in" else "not in"))
+    t.table;
+  Hashtbl.iter
+    (fun _ d ->
+      if not (cached d) then err "dirty set: %s is not in the table" (name d))
+    t.dirty;
+  if dirty_pages t <> !ndirty then
+    err "dirty_pages is %d but %d cached pages are dirty" (dirty_pages t)
+      !ndirty;
+  List.sort compare !errs

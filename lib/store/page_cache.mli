@@ -129,3 +129,10 @@ val cached_pages : t -> int
 val dirty_pages : t -> int
 val is_cached : t -> fd:int -> page:int -> bool
 val is_dirty : t -> fd:int -> page:int -> bool
+
+val audit : t -> string list
+(** Bookkeeping consistency, empty when it holds: the recency list and
+    the page table hold the same entries, each once, with mutually
+    consistent links; the dirty set is exactly the cached pages marked
+    dirty; and {!dirty_pages} counts them.  O(cached pages); for tests
+    and the fuzzer's end-of-run audit. *)

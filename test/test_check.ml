@@ -164,6 +164,15 @@ let test_storage_replay_digest () =
   Alcotest.(check bool) "distinct digest without storage" true
     (o1.F.digest <> o3.F.digest)
 
+(* Golden storage digest.  Eviction order, writeback batching and fsync
+   ordering all feed the replay digest, so a change to which page the
+   cache evicts or when it writes a page back moves it — which the
+   self-consistency test above cannot see. *)
+let test_storage_golden_digest () =
+  let o = F.run { F.default_config with steps = 500; seed = 11 } in
+  Alcotest.(check string) "pinned storage replay digest"
+    "c00af191193236135abd017cfd8b43ea" o.F.digest
+
 (* The checker actually catches broken kernels: with I/O-deferred page
    deallocation disabled, a TCOW displacement during an in-flight
    emulated-copy output frees a frame the adapter's gather descriptor
@@ -241,6 +250,8 @@ let suite =
       test_batched_replay_event_counts;
     Alcotest.test_case "storage replay keeps the digest stable" `Quick
       test_storage_replay_digest;
+    Alcotest.test_case "storage replay matches the golden digest" `Quick
+      test_storage_golden_digest;
     Alcotest.test_case "broken deferred-dealloc is caught" `Quick
       test_broken_invariant_caught;
     Alcotest.test_case "deferred dealloc keeps invariants" `Quick

@@ -225,6 +225,59 @@ let test_backpressure_again () =
   Alcotest.(check bool) "retry admitted after writeback" true !done_;
   List.iter (Memory.Phys_mem.deallocate phys) !hogs
 
+(* Recency-ordered eviction: the victim is the coldest page that is
+   clean, unpinned, not in flight and not I/O-referenced — here the
+   third-coldest, behind a dirty page and a sendfile-style reference. *)
+let test_eviction_order () =
+  let config =
+    {
+      PC.default_config with
+      PC.max_pages = 4;
+      readahead_window = 0;
+      writeback_interval_us = 1e7;
+    }
+  in
+  let engine, phys, cache = raw_cache ~config () in
+  let fd = PC.open_file cache in
+  (* complete the CPU-retire callbacks without reaching the flusher *)
+  let settle () =
+    Simcore.Engine.run_until engine
+      (Simcore.Sim_time.add (Simcore.Engine.now engine)
+         (Simcore.Sim_time.of_us 1000.))
+  in
+  must
+    (PC.write cache ~fd ~off:0 ~data:(pattern ~len:(4 * psize) ~seed:1)
+       ~on_complete:(fun () -> ()));
+  PC.fsync cache ~fd ~on_complete:(fun () -> ());
+  Simcore.Engine.run engine;
+  let read page ~on_complete =
+    must (PC.read cache ~fd ~off:(page * psize) ~len:psize ~on_complete);
+    settle ()
+  in
+  (* touch order, coldest first: 0 (dirtied), 1 (referenced), 2, 3 *)
+  must
+    (PC.write cache ~fd ~off:0 ~data:(Bytes.make 1 'x')
+       ~on_complete:(fun () -> ()));
+  settle ();
+  read 1 ~on_complete:(fun desc ->
+      List.iter (Memory.Phys_mem.ref_output phys) (Memory.Io_desc.frames desc));
+  read 2 ~on_complete:ignore;
+  read 3 ~on_complete:ignore;
+  Alcotest.(check bool) "page 0 still dirty" true (PC.is_dirty cache ~fd ~page:0);
+  Alcotest.(check (list string)) "consistent before admission" [] (PC.audit cache);
+  (* admitting page 4 at capacity evicts exactly one page *)
+  must
+    (PC.write cache ~fd ~off:(4 * psize) ~data:(pattern ~len:psize ~seed:2)
+       ~on_complete:(fun () -> ()));
+  List.iter
+    (fun (page, cached) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "page %d cached" page)
+        cached
+        (PC.is_cached cache ~fd ~page))
+    [ (0, true); (1, true); (2, false); (3, true); (4, true) ];
+  Alcotest.(check (list string)) "consistent after eviction" [] (PC.audit cache)
+
 let test_store_counters () =
   let trace = Simcore.Tracer.create ~enabled:true () in
   let w, fio = setup ~trace () in
@@ -385,6 +438,14 @@ module Model = struct
   let size m = Bytes.length m.data
 end
 
+(* Record the first bookkeeping inconsistency [PC.audit] reports. *)
+let audit_into failure cache what =
+  match PC.audit cache with
+  | [] -> ()
+  | errs ->
+    if !failure = None then
+      failure := Some (what ^ ": " ^ String.concat "; " errs)
+
 let prop_read_your_writes =
   QCheck.Test.make ~name:"cache reads match a flat-file model" ~count:20
     QCheck.(
@@ -393,9 +454,10 @@ let prop_read_your_writes =
         (triple (int_bound ((40 * psize) - 1)) (int_bound (3 * psize)) small_int))
     (fun ops ->
       let w, fio = setup () in
+      let failure = ref None in
+      let audit = audit_into failure (Genie.File_io.cache fio) in
       let fd = Genie.File_io.open_file fio in
       let model = Model.create () in
-      let failure = ref None in
       List.iter
         (fun (off, len0, seed) ->
           let len = len0 + 1 in
@@ -405,12 +467,16 @@ let prop_read_your_writes =
            with
           | Ok () -> Model.write model ~off ~data
           | Error `Again -> failure := Some "write rejected");
+          audit "write";
           Genie.World.run w;
+          audit "write drained";
           (match seed mod 5 with
           | 0 -> Genie.File_io.fsync fio ~fd ~on_complete:(fun () -> ())
           | 1 -> ignore (Genie.File_io.drop_caches fio)
           | _ -> ());
+          audit "fsync/drop_caches";
           Genie.World.run w;
+          audit "fsync/drop_caches drained";
           if seed mod 3 = 0 then begin
             let roff = (off + len) / 2 in
             let rlen = len in
@@ -422,7 +488,9 @@ let prop_read_your_writes =
              with
             | Ok () -> ()
             | Error `Again -> failure := Some "read rejected");
-            Genie.World.run w
+            audit "read";
+            Genie.World.run w;
+            audit "read drained"
           end)
         ops;
       let size = Genie.File_io.size fio ~fd in
@@ -436,6 +504,7 @@ let prop_read_your_writes =
       | Ok () -> ()
       | Error `Again -> failure := Some "final read rejected");
       Genie.World.run w;
+      audit "final read";
       match !failure with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
@@ -446,15 +515,18 @@ let prop_writeback_preserves_bytes =
     ~count:20
     QCheck.(list_of_size Gen.(1 -- 30) (pair (int_bound 39) small_int))
     (fun ops ->
-      (* small cache so eviction happens; ops issue back-to-back with no
-         draining in between, so writebacks, RMW fills, fsyncs and
-         drop_caches genuinely interleave inside one engine run *)
+      (* small cache so eviction happens; ops issue back-to-back with at
+         most a short partial drain in between (which lets some
+         writebacks retire, so later admissions at capacity evict clean
+         pages), so writebacks, RMW fills, fsyncs and drop_caches
+         genuinely interleave inside one engine run *)
       let engine, _phys, cache =
         raw_cache ~config:{ PC.default_config with PC.max_pages = 12 } ()
       in
       let fd = PC.open_file cache in
       let model = Model.create () in
       let failure = ref None in
+      let audit = audit_into failure cache in
       List.iter
         (fun (page, seed) ->
           let off = (page * psize) + (seed mod 97) in
@@ -463,17 +535,24 @@ let prop_writeback_preserves_bytes =
           (match PC.write cache ~fd ~off ~data ~on_complete:(fun () -> ()) with
           | Ok () -> Model.write model ~off ~data
           | Error `Again -> failure := Some "write rejected");
-          match seed mod 4 with
+          audit "write";
+          (match seed mod 4 with
           | 0 -> PC.writeback_now cache
           | 1 -> PC.fsync cache ~fd ~on_complete:(fun () -> ())
           | 2 -> ignore (PC.drop_caches cache)
-          | _ -> ())
+          | _ ->
+            Simcore.Engine.run_until engine
+              (Simcore.Sim_time.add (Simcore.Engine.now engine)
+                 (Simcore.Sim_time.of_us 2000.)));
+          audit "writeback/fsync/drop_caches/drain")
         ops;
       PC.fsync cache ~fd ~on_complete:(fun () -> ());
       Simcore.Engine.run engine;
+      audit "final fsync";
       if PC.dirty_pages cache <> 0 then failure := Some "dirty after fsync";
       (* force a cold read so the bytes come back off the media *)
       ignore (PC.drop_caches cache);
+      audit "drop_caches";
       let size = PC.file_size cache fd in
       (match
          PC.read cache ~fd ~off:0 ~len:size ~on_complete:(fun desc ->
@@ -484,6 +563,7 @@ let prop_writeback_preserves_bytes =
       | Ok () -> ()
       | Error `Again -> failure := Some "cold read rejected");
       Simcore.Engine.run engine;
+      audit "cold read";
       match !failure with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
@@ -496,6 +576,8 @@ let suite =
     Alcotest.test_case "sequential readahead" `Quick test_readahead;
     Alcotest.test_case "write throttling" `Quick test_write_throttling;
     Alcotest.test_case "backpressure `Again" `Quick test_backpressure_again;
+    Alcotest.test_case "eviction takes the coldest clean unreferenced page"
+      `Quick test_eviction_order;
     Alcotest.test_case "store trace counters" `Quick test_store_counters;
     Alcotest.test_case "file map (mmap-style)" `Quick test_file_map;
     Alcotest.test_case "sendfile = read+send bytes" `Quick
