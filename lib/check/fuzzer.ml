@@ -172,7 +172,7 @@ let store_cache_config =
 
 let pick rng l = List.nth l (R.int rng ~bound:(List.length l))
 
-let run ?trace cfg =
+let run ?trace ?on_check cfg =
   (* Poison recycled memory for the whole run: frames get 0xAA at alloc
      and pooled staging buffers 0xA5 at give, so any path that reads
      stale or unfilled bytes corrupts a checksum instead of silently
@@ -1206,6 +1206,7 @@ let run ?trace cfg =
   let violations = ref [] in
   let steps_run = ref 0 in
   let check () =
+    Option.iter (fun f -> f [ host_a; host_b ]) on_check;
     match !audit @ Invariants.check_world [ host_a; host_b ] with
     | [] -> false
     | vs ->

@@ -128,10 +128,17 @@ type outcome = {
 val event_keys : string list
 (** The counter names reported in [outcome.events]. *)
 
-val run : ?trace:Simcore.Tracer.t -> config -> outcome
+val run :
+  ?trace:Simcore.Tracer.t ->
+  ?on_check:(Genie.Host.t list -> unit) ->
+  config ->
+  outcome
 (** Build a fresh world and execute the schedule.  Deterministic in
     [config].  [trace] installs a shared tracer on both hosts (it is
     enabled for the run), so callers can audit the typed event stream —
-    span nesting, counter monotonicity — under the fault schedule. *)
+    span nesting, counter monotonicity — under the fault schedule.
+    [on_check] sees both hosts at every invariant check, just before
+    the catalogue runs, so a test can audit them side by side with it;
+    it must not mutate them. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

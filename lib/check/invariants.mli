@@ -7,11 +7,14 @@
     bool, so a failing fuzz run can say exactly which invariant broke on
     which frame or region.
 
-    All predicates are read-only: they walk the physical-memory free
-    list, the per-VM frame-ownership registry, the registered
-    {!Vm.Vm_sys.space_view}s and {!Vm.Vm_sys.io_view}s, the host's
-    overlay pool and its {!Genie.Ledger}, and never mutate simulation
-    state.  They are meant to hold at every quiescent instant — between
+    A check reads the host once, into a {!snapshot}: it walks the
+    physical-memory frames and free list, the per-VM frame-ownership
+    registry, the registered {!Vm.Vm_sys.space_view}s and
+    {!Vm.Vm_sys.io_view}s, the host's overlay pool and its
+    {!Genie.Ledger}.  Every predicate is a read of that snapshot, so each
+    frame-indexed fact is computed once per check, however many
+    predicates use it.  Nothing mutates simulation state.  The
+    predicates are meant to hold at every quiescent instant — between
     simulation events — including while transfers are in flight.
 
     The catalogue (see also [docs/CHECKING.md]):
@@ -47,7 +50,9 @@
     - [io-desc-safety]: no frame referenced by a live scatter/gather
       descriptor is on the free list (I/O-deferred page deallocation
       observable; this is the invariant
-      {!Memory.Phys_mem.skip_deferred_dealloc} breaks). *)
+      {!Memory.Phys_mem.skip_deferred_dealloc} breaks).
+    - [pte-rmap]: each space's page-table reverse map agrees with its
+      translations ({!Vm.Page_table.check_rmap}). *)
 
 type violation = {
   invariant : string;  (** catalogue name, e.g. ["frame-accounting"] *)
@@ -59,19 +64,14 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
-val free_list : Genie.Host.t -> violation list
-val zombie_reclaim : Genie.Host.t -> violation list
-val frame_accounting : Genie.Host.t -> violation list
-val object_slots : Genie.Host.t -> violation list
-val shadow_acyclic : Genie.Host.t -> violation list
-val pte_mapping : Genie.Host.t -> violation list
-val region_state : Genie.Host.t -> violation list
-val wiring : Genie.Host.t -> violation list
-val tcow_protection : Genie.Host.t -> violation list
-val io_refcounts : Genie.Host.t -> violation list
-val io_desc_safety : Genie.Host.t -> violation list
+type snapshot
+(** One host's state as the predicates read it, gathered in a single
+    pass: frame-indexed arrays (free-queue, mapping, ownership, pool,
+    ledger, reserve and descriptor counts; the last writable mapping),
+    each space's regions and translations, the reachable objects and
+    the regions of operations in flight.  Frames are read in place. *)
 
-val all : (string * (Genie.Host.t -> violation list)) list
+val all : (string * (snapshot -> violation list)) list
 (** The full catalogue, name first, in the order above. *)
 
 val check_host : Genie.Host.t -> violation list

@@ -46,7 +46,7 @@ let page_size t = t.page_size
 let set_trace_scope t scope = t.trace <- Some scope
 let total_frames t = Array.length t.frames
 let free_frames t = Queue.length t.free
-let frame_by_id t id = t.frames.(id)
+let frames t = t.frames
 
 (* Debug switch: poison freshly allocated frames with 0xAA so consumers
    that rely on uninitialized frame contents trip byte-correctness
@@ -147,4 +147,4 @@ let adopt t (frame : Frame.t) =
   | Frame.Free -> invalid_arg "Phys_mem.adopt: frame is free"
 
 let zombie_count t = t.zombies
-let free_ids t = List.of_seq (Queue.to_seq t.free)
+let iter_free t f = Queue.iter f t.free

@@ -60,11 +60,13 @@ val adopt : t -> Frame.t -> unit
 val zombie_count : t -> int
 (** Number of frames awaiting reclamation (for tests and monitoring). *)
 
-val frame_by_id : t -> int -> Frame.t
+val frames : t -> Frame.t array
+(** Every frame, indexed by id.  The array is physical memory's own, for
+    the invariant checker to read in place: never write to it. *)
 
-val free_ids : t -> int list
-(** Contents of the free list, in allocation order (for the invariant
-    checker). *)
+val iter_free : t -> (int -> unit) -> unit
+(** Apply to each free-list entry's frame id, in allocation order (for
+    the invariant checker). *)
 
 val debug_poison : bool ref
 (** Poison frames with [0xAA] on allocation (the historical default).

@@ -18,12 +18,7 @@
    A scan therefore walks at most one full lap, keeping a running
    minimum — entries from a later lap sharing a slot are compared by
    key, never assumed absent — and stops early once no unscanned bucket
-   can beat the minimum found.
-
-   Cancellation is lazy: [cancel] marks the entry's sequence number and
-   decrements the size; the entry itself is swept out when its bucket is
-   next scanned (or dropped at migration).  Both tables stay empty — and
-   cost nothing — unless [push_cancellable] is used. *)
+   can beat the minimum found. *)
 
 let bucket_bits = 10 (* 1024 ns per bucket *)
 let n_buckets = 1024
@@ -45,8 +40,6 @@ type 'a t = {
   mutable size : int;
   mutable next_seq : int;
   mutable floor : int; (* key of the last pop; pushes must not go below *)
-  cancellable : (int, unit) Hashtbl.t; (* live cancellable seqs *)
-  cancelled : (int, unit) Hashtbl.t; (* cancelled, not yet swept *)
 }
 
 let create ~dummy () =
@@ -61,8 +54,6 @@ let create ~dummy () =
     size = 0;
     next_seq = 0;
     floor = 0;
-    cancellable = Hashtbl.create 8;
-    cancelled = Hashtbl.create 8;
   }
 
 let length t = t.size
@@ -95,59 +86,20 @@ let bucket_remove t b i =
   b.vals.(last) <- t.dummy;
   b.len <- last
 
-(* Drop entries whose seq was cancelled; their size was already
-   subtracted at cancel time. *)
-let sweep_bucket t b =
-  if Hashtbl.length t.cancelled > 0 then begin
-    let i = ref 0 in
-    while !i < b.len do
-      let seq = b.seqs.(!i) in
-      if Hashtbl.mem t.cancelled seq then begin
-        Hashtbl.remove t.cancelled seq;
-        bucket_remove t b !i;
-        t.near_count <- t.near_count - 1
-      end
-      else incr i
-    done
-  end
-
 let add_near t ~key ~seq v =
   let abs = abs_bucket key in
   if abs < t.cur_abs then t.cur_abs <- abs;
   bucket_add t t.buckets.(abs land mask) ~key ~seq v;
   t.near_count <- t.near_count + 1
 
-let insert t ~key ~seq v =
-  if abs_bucket key < t.cur_abs + n_buckets then add_near t ~key ~seq v
-  else Heap.push t.far ~key (seq, v)
-
 let push t ~key v =
   if key < 0 then invalid_arg "Wheel.push: negative key";
   if key < t.floor then invalid_arg "Wheel.push: key below last popped key";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  insert t ~key ~seq v;
+  if abs_bucket key < t.cur_abs + n_buckets then add_near t ~key ~seq v
+  else Heap.push t.far ~key (seq, v);
   t.size <- t.size + 1
-
-let push_cancellable t ~key v =
-  if key < 0 then invalid_arg "Wheel.push_cancellable: negative key";
-  if key < t.floor then
-    invalid_arg "Wheel.push_cancellable: key below last popped key";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Hashtbl.replace t.cancellable seq ();
-  insert t ~key ~seq v;
-  t.size <- t.size + 1;
-  seq
-
-let cancel t token =
-  if Hashtbl.mem t.cancellable token then begin
-    Hashtbl.remove t.cancellable token;
-    Hashtbl.replace t.cancelled token ();
-    t.size <- t.size - 1;
-    true
-  end
-  else false
 
 (* Pull far-future events whose bucket entered the near window. *)
 let migrate t =
@@ -156,9 +108,7 @@ let migrate t =
     match Heap.peek_key t.far with
     | Some key when abs_bucket key < t.cur_abs + n_buckets -> (
       match Heap.pop t.far with
-      | Some (key, (seq, v)) ->
-        if Hashtbl.mem t.cancelled seq then Hashtbl.remove t.cancelled seq
-        else add_near t ~key ~seq v
+      | Some (key, (seq, v)) -> add_near t ~key ~seq v
       | None -> continue := false)
     | _ -> continue := false
   done
@@ -185,9 +135,8 @@ let rec find_min t =
       let best_key = ref max_int and best_seq = ref max_int in
       let b = ref t.cur_abs and scanned = ref 0 in
       let finished = ref false in
-      while (not !finished) && !scanned < n_buckets && t.near_count > 0 do
+      while (not !finished) && !scanned < n_buckets do
         let bk = t.buckets.(!b land mask) in
-        sweep_bucket t bk;
         for i = 0 to bk.len - 1 do
           if
             bk.keys.(i) < !best_key
@@ -209,30 +158,26 @@ let rec find_min t =
           if !best_b < 0 then t.cur_abs <- !b
         end
       done;
-      if !best_b < 0 then find_min t (* near was all cancelled; retry far *)
-      else begin
-        let contended =
+      (* A full lap visits every bucket and near_count > 0, so the scan
+         found an entry. *)
+      let contended =
+        match Heap.peek_key t.far with
+        | Some fk -> fk <= !best_key
+        | None -> false
+      in
+      if contended then begin
+        let pull = ref true in
+        while !pull do
           match Heap.peek_key t.far with
-          | Some fk -> fk <= !best_key
-          | None -> false
-        in
-        if contended then begin
-          let pull = ref true in
-          while !pull do
-            match Heap.peek_key t.far with
-            | Some fk when fk <= !best_key -> (
-              match Heap.pop t.far with
-              | Some (key, (seq, v)) ->
-                if Hashtbl.mem t.cancelled seq then
-                  Hashtbl.remove t.cancelled seq
-                else add_near t ~key ~seq v
-              | None -> pull := false)
-            | _ -> pull := false
-          done;
-          find_min t
-        end
-        else Some (t.buckets.(!best_b), !best_i)
+          | Some fk when fk <= !best_key -> (
+            match Heap.pop t.far with
+            | Some (key, (seq, v)) -> add_near t ~key ~seq v
+            | None -> pull := false)
+          | _ -> pull := false
+        done;
+        find_min t
       end
+      else Some (t.buckets.(!best_b), !best_i)
     end
   end
 
@@ -243,10 +188,9 @@ let pop t =
   match find_min t with
   | None -> None
   | Some (b, i) ->
-    let key = b.keys.(i) and seq = b.seqs.(i) and v = b.vals.(i) in
+    let key = b.keys.(i) and v = b.vals.(i) in
     bucket_remove t b i;
     t.near_count <- t.near_count - 1;
     t.size <- t.size - 1;
-    if Hashtbl.length t.cancellable > 0 then Hashtbl.remove t.cancellable seq;
     t.floor <- key;
     Some (key, v)

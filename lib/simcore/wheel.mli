@@ -17,20 +17,11 @@ val create : dummy:'a -> unit -> 'a t
 
 val push : 'a t -> key:int -> 'a -> unit
 
-val push_cancellable : 'a t -> key:int -> 'a -> int
-(** Like {!push}, returning a token for {!cancel}. *)
-
-val cancel : 'a t -> int -> bool
-(** Cancel a pending entry by token.  Returns [false] when the entry
-    already popped or was already cancelled.  Lazy: the slot is swept on
-    a later scan, but {!length} drops immediately. *)
-
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum (key, insertion-order) entry. *)
 
 val peek_key : 'a t -> int option
 
 val length : 'a t -> int
-(** Live (non-cancelled) entries. *)
 
 val is_empty : 'a t -> bool

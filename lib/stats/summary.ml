@@ -1,5 +1,6 @@
 (* Sample statistics for benchmark metrics: count, mean, population
-   standard deviation, extrema, and interpolated percentiles. *)
+   standard deviation, extrema, and interpolated percentiles; plus the
+   geometric mean of positive ratios. *)
 
 type t = {
   n : int;
@@ -33,6 +34,19 @@ let percentile samples p =
   let sorted = Array.of_list samples in
   Array.sort Float.compare sorted;
   percentile_sorted sorted p
+
+let geometric_mean values =
+  match values with
+  | [] -> invalid_arg "Summary.geometric_mean: empty list"
+  | _ ->
+    let log_sum =
+      List.fold_left
+        (fun acc v ->
+          if v <= 0. then invalid_arg "Summary.geometric_mean: non-positive value";
+          acc +. log v)
+        0. values
+    in
+    exp (log_sum /. float_of_int (List.length values))
 
 let of_samples samples =
   match samples with

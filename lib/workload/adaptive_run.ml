@@ -124,7 +124,7 @@ let run_rounds cfg ~make_policy =
   (* A moved-in buffer circulating at [a] for system-allocated rounds:
      each system round sends the buffer the previous echo produced. *)
   let a_moved = ref None in
-  let rtt = Simcore.Stat.create () in
+  let rtt = Stats.Streaming_summary.create () in
   let meas_start = ref 0. in
   let round = ref 0 in
   let t_send = ref 0. in
@@ -162,7 +162,7 @@ let run_rounds cfg ~make_policy =
     end
   and on_a_recv (r : Genie.Input_path.result) =
     if not (Genie.Input_path.ok r) then failwith "Adaptive_run: corrupt echo";
-    if !round > cfg.warmup then Simcore.Stat.add rtt (now_a () -. !t_send);
+    if !round > cfg.warmup then Stats.Streaming_summary.add rtt (now_a () -. !t_send);
     (match r.Genie.Input_path.buf with
     | Some buf when buf.Genie.Buf.space == a_bufs.space ->
       (* A system-allocated echo produced a fresh moved-in buffer. *)
@@ -210,9 +210,9 @@ let run_rounds cfg ~make_policy =
     | None -> (0, 0, 0)
   in
   {
-    mean_rtt_us = Simcore.Stat.mean rtt;
+    mean_rtt_us = Stats.Streaming_summary.mean rtt;
     total_us = now_a () -. !meas_start;
-    rounds = Simcore.Stat.count rtt;
+    rounds = Stats.Streaming_summary.count rtt;
     migrations;
     epochs;
     final_sem = choose ();

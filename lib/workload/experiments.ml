@@ -236,7 +236,7 @@ let table8 () =
         cpu_ops
     in
     let stats l =
-      ( Simcore.Stat.geometric_mean l,
+      ( Stats.Summary.geometric_mean l,
         List.fold_left Float.min infinity l,
         List.fold_left Float.max neg_infinity l )
     in

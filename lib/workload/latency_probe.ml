@@ -96,7 +96,8 @@ let run ?recorder cfg =
   let a = make_side cfg a_host ea and b = make_side cfg b_host eb in
   Genie.Buf.fill_pattern a.next_send ~seed:7;
   let total_rounds = cfg.warmup + cfg.runs in
-  let forward = Simcore.Stat.create () and rtt = Simcore.Stat.create () in
+  let forward = Stats.Streaming_summary.create ()
+  and rtt = Stats.Streaming_summary.create () in
   let round = ref 0 in
   let t_send = ref 0. in
   let meas_start = ref 0. in
@@ -127,7 +128,7 @@ let run ?recorder cfg =
     end
   and on_b_recv (r : Genie.Input_path.result) =
     if not (Genie.Input_path.ok r) then failwith "Latency_probe: corrupt forward leg";
-    if !round > cfg.warmup then Simcore.Stat.add forward (now () -. !t_send);
+    if !round > cfg.warmup then Stats.Streaming_summary.add forward (now () -. !t_send);
     update_send b r;
     let echo =
       match r.Genie.Input_path.buf with
@@ -143,7 +144,7 @@ let run ?recorder cfg =
         ~on_complete:on_b_recv)
   and on_a_recv (r : Genie.Input_path.result) =
     if not (Genie.Input_path.ok r) then failwith "Latency_probe: corrupt echo leg";
-    if !round > cfg.warmup then Simcore.Stat.add rtt (now () -. !t_send);
+    if !round > cfg.warmup then Stats.Streaming_summary.add rtt (now () -. !t_send);
     update_send a r;
     start_round ()
   in
@@ -154,11 +155,11 @@ let run ?recorder cfg =
   Genie.World.run world;
   let elapsed = now () -. !meas_start in
   let busy = Simcore.Sim_time.to_us (Simcore.Cpu.busy_time a_host.Genie.Host.cpu) in
-  let one_way_us = Simcore.Stat.mean forward in
+  let one_way_us = Stats.Streaming_summary.mean forward in
   {
     one_way_us;
-    rtt_us = Simcore.Stat.mean rtt;
+    rtt_us = Stats.Streaming_summary.mean rtt;
     cpu_busy_fraction = (if elapsed > 0. then busy /. elapsed else 0.);
     throughput_mbps = 8. *. float_of_int cfg.len /. one_way_us;
-    rounds = Simcore.Stat.count forward;
+    rounds = Stats.Streaming_summary.count forward;
   }

@@ -116,6 +116,12 @@ let test_summary_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Summary.of_samples: empty sample list")
     (fun () -> ignore (Stats.Summary.of_samples []))
 
+let test_geometric_mean () =
+  Alcotest.(check (float 1e-9)) "gm" 4. (Stats.Summary.geometric_mean [ 2.; 8. ]);
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Summary.geometric_mean: empty list") (fun () ->
+      ignore (Stats.Summary.geometric_mean []))
+
 (* {1 Bench_result round-trip} *)
 
 let sample_result () =
@@ -304,6 +310,7 @@ let suite =
     Alcotest.test_case "summary single sample" `Quick test_summary_single;
     Alcotest.test_case "summary percentiles" `Quick test_summary_percentile;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
+    Alcotest.test_case "summary geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "bench result round-trip" `Quick test_bench_result_roundtrip;
     Alcotest.test_case "bench result file round-trip" `Quick
       test_bench_result_file_roundtrip;

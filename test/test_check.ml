@@ -3,6 +3,11 @@
 module F = Check.Fuzzer
 module I = Check.Invariants
 module As = Vm.Address_space
+module Fr = Memory.Frame
+module PM = Memory.Phys_mem
+module VS = Vm.Vm_sys
+module MO = Vm.Memory_object
+module PT = Vm.Page_table
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -173,11 +178,9 @@ let test_storage_golden_digest () =
   Alcotest.(check string) "pinned storage replay digest"
     "c00af191193236135abd017cfd8b43ea" o.F.digest
 
-(* The checker actually catches broken kernels: with I/O-deferred page
-   deallocation disabled, a TCOW displacement during an in-flight
-   emulated-copy output frees a frame the adapter's gather descriptor
-   still references, and io-desc-safety must say so, naming the frame. *)
-let broken_scenario () =
+(* Host a of a fresh world with a two-page emulated-copy output still in
+   flight from a populated region of a new space. *)
+let emulated_copy_in_flight () =
   let w = Genie.World.create () in
   let ea, _eb =
     Genie.World.endpoint_pair w ~vc:1 ~mode:Net.Adapter.Early_demux
@@ -190,10 +193,18 @@ let broken_scenario () =
   Genie.Buf.fill_pattern buf ~seed:1;
   ignore
     (Genie.Endpoint.output ea ~sem:Genie.Semantics.emulated_copy ~buf ());
+  (w.Genie.World.a, sa, buf)
+
+(* The checker actually catches broken kernels: with I/O-deferred page
+   deallocation disabled, a TCOW displacement during an in-flight
+   emulated-copy output frees a frame the adapter's gather descriptor
+   still references, and io-desc-safety must say so, naming the frame. *)
+let broken_scenario () =
+  let host, sa, buf = emulated_copy_in_flight () in
   (* output still in flight: this write hits the TCOW protection and
      displaces a frame with a pending output reference *)
   As.write sa ~addr:buf.Genie.Buf.addr (Bytes.make 4 'X');
-  I.check_host w.Genie.World.a
+  I.check_host host
 
 let test_broken_invariant_caught () =
   Fun.protect
@@ -221,6 +232,164 @@ let test_deferred_dealloc_keeps_invariants () =
   Alcotest.(check (list string))
     "no violations" []
     (List.map I.violation_to_string (broken_scenario ()))
+
+(* {1 Every predicate has teeth}
+
+   One hand-mutated world per catalogue entry; each must draw at least
+   one violation under that entry's name.  The mutations start from host
+   a of a fresh world with one populated two-page region. *)
+
+let idle_region () =
+  let w = Genie.World.create () in
+  let host = w.Genie.World.a in
+  let sa = Genie.Host.new_space host in
+  (host, sa, As.map_region sa ~npages:2)
+
+let phys (host : Genie.Host.t) = host.Genie.Host.vm.VS.phys
+
+let free_frame host =
+  Option.get
+    (Array.find_opt (fun (f : Fr.t) -> f.Fr.state = Fr.Free) (PM.frames (phys host)))
+
+let ptes sa =
+  let sv =
+    List.find (fun sv -> sv.VS.sv_id = As.id sa) (VS.space_views (As.vm sa))
+  in
+  List.sort compare (sv.VS.sv_ptes ())
+
+let mutations =
+  [
+    ( "free-list",
+      fun () ->
+        let host, _, _ = idle_region () in
+        (free_frame host).Fr.wired <- 1;
+        host );
+    ( "zombie-reclaim",
+      fun () ->
+        let host, _, _ = idle_region () in
+        (free_frame host).Fr.state <- Fr.Zombie;
+        host );
+    ( "frame-accounting",
+      fun () ->
+        let host, _, _ = idle_region () in
+        ignore (PM.alloc (phys host));
+        host );
+    ( "object-slots",
+      fun () ->
+        let host, _, r = idle_region () in
+        Hashtbl.replace host.Genie.Host.vm.VS.frame_owner
+          (free_frame host).Fr.id (r.Vm.Region.obj, 99);
+        host );
+    ( "shadow-acyclic",
+      fun () ->
+        let host, _, r = idle_region () in
+        let o = r.Vm.Region.obj in
+        o.MO.shadow <- Some o;
+        host );
+    ( "pte-mapping",
+      fun () ->
+        (* the region's pages now sit below an empty shadow object while
+           their translations stay writable *)
+        let host, _, r = idle_region () in
+        r.Vm.Region.obj <- MO.shadow_of r.Vm.Region.obj;
+        host );
+    ( "region-state",
+      fun () ->
+        let host, _, r = idle_region () in
+        r.Vm.Region.state <- Vm.Region.Moving_in;
+        host );
+    ( "wiring",
+      fun () ->
+        let host, _, r = idle_region () in
+        r.Vm.Region.wired <- 1;
+        host );
+    ( "tcow-protection",
+      fun () ->
+        let host, sa, _ = emulated_copy_in_flight () in
+        List.iter
+          (fun ((_, pte) : int * PT.pte) ->
+            if pte.PT.frame.Fr.output_refs > 0 then pte.PT.prot <- Vm.Prot.Read_write)
+          (ptes sa);
+        host );
+    ( "io-refcounts",
+      fun () ->
+        let host, sa, _ = idle_region () in
+        let f = (snd (List.hd (ptes sa))).PT.frame in
+        f.Fr.input_refs <- f.Fr.input_refs + 1;
+        host );
+    ( "io-desc-safety",
+      fun () ->
+        (* the chaos flag's scenario, minus the flag: the frame a live
+           gather descriptor references is marked free in place *)
+        let host, sa, _ = emulated_copy_in_flight () in
+        (snd (List.hd (ptes sa))).PT.frame.Fr.state <- Fr.Free;
+        host );
+    ( "pte-rmap",
+      fun () ->
+        (* two translations trade frames behind the reverse map's back *)
+        let host, sa, _ = idle_region () in
+        (match ptes sa with
+        | (_, p0) :: (_, p1) :: _ ->
+          let f0 = p0.PT.frame in
+          p0.PT.frame <- p1.PT.frame;
+          p1.PT.frame <- f0
+        | _ -> Alcotest.fail "populated region has fewer than two pages");
+        host );
+  ]
+
+let test_every_predicate_caught () =
+  Alcotest.(check (list string))
+    "one mutation per catalogue entry" (List.map fst I.all)
+    (List.map fst mutations);
+  List.iter
+    (fun (name, mutate) ->
+      let vs = I.check_host (mutate ()) in
+      Alcotest.(check bool)
+        (name ^ " reports the mutation")
+        true
+        (List.exists (fun v -> v.I.invariant = name) vs))
+    mutations
+
+(* {1 Differential gate}
+
+   [Invariants_ref] is the catalogue as it stood before the shared host
+   snapshot, each predicate rebuilding its own view.  The snapshot-based
+   checker must report exactly the same violations, compared as sorted
+   rendered lists per host. *)
+
+let rendered vs = List.sort compare (List.map I.violation_to_string vs)
+
+let check_same host =
+  Alcotest.(check (list string))
+    (host.Genie.Host.name ^ ": snapshot checker agrees with the reference")
+    (rendered (Invariants_ref.check_host host))
+    (rendered (I.check_host host))
+
+let test_differential_mutated () =
+  List.iter (fun (_, mutate) -> check_same (mutate ())) mutations;
+  Fun.protect
+    ~finally:(fun () -> Memory.Phys_mem.skip_deferred_dealloc := false)
+    (fun () ->
+      Memory.Phys_mem.skip_deferred_dealloc := true;
+      let host, sa, buf = emulated_copy_in_flight () in
+      As.write sa ~addr:buf.Genie.Buf.addr (Bytes.make 4 'X');
+      check_same host)
+
+let test_differential_fuzz () =
+  let checks = ref 0 in
+  for seed = 1 to 20 do
+    let o =
+      F.run
+        ~on_check:(fun hosts ->
+          incr checks;
+          List.iter check_same hosts)
+        { F.default_config with steps = 100; seed; memory_mb = 8 }
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d ran" seed)
+      true (o.F.steps_run > 0)
+  done;
+  Alcotest.(check bool) "checked after every step" true (!checks >= 20 * 100)
 
 let test_violation_to_string () =
   let v =
@@ -256,5 +425,11 @@ let suite =
       test_broken_invariant_caught;
     Alcotest.test_case "deferred dealloc keeps invariants" `Quick
       test_deferred_dealloc_keeps_invariants;
+    Alcotest.test_case "every predicate catches its mutation" `Quick
+      test_every_predicate_caught;
+    Alcotest.test_case "snapshot matches reference on mutations" `Quick
+      test_differential_mutated;
+    Alcotest.test_case "snapshot matches reference on 20 seeds" `Slow
+      test_differential_fuzz;
     Alcotest.test_case "violation rendering" `Quick test_violation_to_string;
   ]

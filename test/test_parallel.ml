@@ -89,25 +89,6 @@ let test_wheel_far_migration () =
     (Simcore.Wheel.pop w = Some (50_000_000, 2));
   Alcotest.(check bool) "empty" true (Simcore.Wheel.is_empty w)
 
-let test_wheel_cancel () =
-  let w = Simcore.Wheel.create ~dummy:(-1) () in
-  Simcore.Wheel.push w ~key:100 0;
-  let tok_near = Simcore.Wheel.push_cancellable w ~key:100 1 in
-  let tok_far = Simcore.Wheel.push_cancellable w ~key:9_000_000 2 in
-  Simcore.Wheel.push w ~key:9_000_000 3;
-  Alcotest.(check int) "length counts live" 4 (Simcore.Wheel.length w);
-  Alcotest.(check bool) "cancel near" true (Simcore.Wheel.cancel w tok_near);
-  Alcotest.(check bool) "cancel far" true (Simcore.Wheel.cancel w tok_far);
-  Alcotest.(check bool) "double cancel" false (Simcore.Wheel.cancel w tok_near);
-  Alcotest.(check int) "length after cancel" 2 (Simcore.Wheel.length w);
-  Alcotest.(check bool) "skips near cancel" true
-    (Simcore.Wheel.pop w = Some (100, 0));
-  Alcotest.(check bool) "skips far cancel" true
-    (Simcore.Wheel.pop w = Some (9_000_000, 3));
-  Alcotest.(check bool) "cancel after pop" false
-    (Simcore.Wheel.cancel w tok_near);
-  Alcotest.(check bool) "empty" true (Simcore.Wheel.is_empty w)
-
 let test_wheel_floor_guard () =
   let w = Simcore.Wheel.create ~dummy:0 () in
   Simcore.Wheel.push w ~key:500 1;
@@ -202,7 +183,6 @@ let suite =
       test_wheel_same_timestamp_fifo;
     Alcotest.test_case "wheel far migration and rewind" `Quick
       test_wheel_far_migration;
-    Alcotest.test_case "wheel cancel-while-scheduled" `Quick test_wheel_cancel;
     Alcotest.test_case "wheel floor guard" `Quick test_wheel_floor_guard;
     QCheck_alcotest.to_alcotest rng_stream_laws;
     QCheck_alcotest.to_alcotest cluster_digest_equivalence;

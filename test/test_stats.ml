@@ -148,6 +148,21 @@ let test_streaming_summary_basics () =
   Alcotest.(check int) "fixed footprint regardless of count" m
     (SS.memory_words big)
 
+(* The streaming accumulator the workloads use for latency means: exact
+   count, sum, mean, min and max, with mean 0 and the infinite extrema on
+   an empty summary. *)
+let test_streaming_summary_accumulator () =
+  let t = SS.create () in
+  Alcotest.(check (float 0.)) "empty mean" 0. (SS.mean t);
+  Alcotest.(check (float 0.)) "empty max" neg_infinity (SS.max t);
+  Alcotest.(check (float 0.)) "empty min" infinity (SS.min t);
+  List.iter (SS.add t) [ 2.; 4.; 6. ];
+  Alcotest.(check (float 1e-9)) "mean" 4. (SS.mean t);
+  Alcotest.(check (float 1e-9)) "sum" 12. (SS.sum t);
+  Alcotest.(check (float 1e-9)) "min" 2. (SS.min t);
+  Alcotest.(check (float 1e-9)) "max" 6. (SS.max t);
+  Alcotest.(check int) "count" 3 (SS.count t)
+
 let suite =
   [
     Alcotest.test_case "fit exact line" `Quick test_fit_exact_line;
@@ -159,6 +174,8 @@ let suite =
     Alcotest.test_case "ascii chart" `Quick test_ascii_chart;
     Alcotest.test_case "streaming summary basics" `Quick
       test_streaming_summary_basics;
+    Alcotest.test_case "streaming summary accumulator" `Quick
+      test_streaming_summary_accumulator;
     QCheck_alcotest.to_alcotest streaming_quantile_tolerance;
     QCheck_alcotest.to_alcotest streaming_merge_laws;
   ]
