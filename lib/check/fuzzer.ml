@@ -1207,6 +1207,13 @@ let run ?trace ?on_check cfg =
   let steps_run = ref 0 in
   let check () =
     Option.iter (fun f -> f [ host_a; host_b ]) on_check;
+    List.iter
+      (fun (h : Genie.Host.t) ->
+        List.iter
+          (audit_violation ~invariant:"zero-page" ~host:h.Genie.Host.name
+             ~subject:"phys-mem" "%s")
+          (Memory.Phys_mem.audit h.Genie.Host.vm.Vm.Vm_sys.phys))
+      [ host_a; host_b ];
     match !audit @ Invariants.check_world [ host_a; host_b ] with
     | [] -> false
     | vs ->

@@ -30,9 +30,11 @@ type space = {
   ptes : (int * PT.pte) list;
 }
 
-type snapshot = {
-  host : Genie.Host.t;
-  frames : F.t array;
+(* The frame-indexed facts, in arrays recycled across checks: a
+   snapshot takes its set from the domain's spare, and [check_host]
+   puts it back once the snapshot is dead, so no live snapshot shares
+   one. *)
+type facts = {
   queued : int array;  (* occurrences on the free queue *)
   mapped : bool array;  (* some PTE of some space maps the frame *)
   writable : (int * int) option array;  (* last writable (space, vpn) *)
@@ -42,6 +44,12 @@ type snapshot = {
   reserve : int array;
   io_in : int array;  (* live input descriptors referencing the frame *)
   io_out : int array;
+}
+
+type snapshot = {
+  host : Genie.Host.t;
+  frames : F.t array;
+  facts : facts;
   spaces : space list;
   io : VS.io_view list;
   entries : Genie.Ledger.entry list;
@@ -98,50 +106,76 @@ let in_flight_regions spaces entries =
   in
   direct @ via_handle
 
+let spare : facts option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let take_facts n =
+  let spare = Domain.DLS.get spare in
+  match !spare with
+  | Some fa when Array.length fa.queued = n ->
+    spare := None;
+    List.iter
+      (fun a -> Array.fill a 0 n 0)
+      [ fa.queued; fa.pool; fa.ledger; fa.reserve; fa.io_in; fa.io_out ];
+    Array.fill fa.mapped 0 n false;
+    Array.fill fa.owned 0 n false;
+    Array.fill fa.writable 0 n None;
+    fa
+  | _ ->
+    let counts () = Array.make n 0 in
+    {
+      queued = counts ();
+      mapped = Array.make n false;
+      writable = Array.make n None;
+      owned = Array.make n false;
+      pool = counts ();
+      ledger = counts ();
+      reserve = counts ();
+      io_in = counts ();
+      io_out = counts ();
+    }
+
 let snapshot (host : Genie.Host.t) =
   let vm = host.Genie.Host.vm in
   let frames = PM.frames vm.VS.phys in
-  let n = Array.length frames in
-  let counts () = Array.make n 0 in
+  let facts = take_facts (Array.length frames) in
   let bump a id = a.(id) <- a.(id) + 1 in
-  let queued = counts () in
-  PM.iter_free vm.VS.phys (bump queued);
-  let owned = Array.make n false in
-  Hashtbl.iter (fun id _ -> owned.(id) <- true) vm.VS.frame_owner;
-  let pool = counts () and ledger = counts () and reserve = counts () in
-  Queue.iter (fun (f : F.t) -> bump pool f.F.id) host.Genie.Host.pool;
+  PM.iter_free vm.VS.phys (bump facts.queued);
+  Hashtbl.iter (fun id _ -> facts.owned.(id) <- true) vm.VS.frame_owner;
+  Queue.iter (fun (f : F.t) -> bump facts.pool f.F.id) host.Genie.Host.pool;
   List.iter
-    (fun ((f : F.t), k) -> ledger.(f.F.id) <- k)
+    (fun ((f : F.t), k) -> facts.ledger.(f.F.id) <- k)
     (Genie.Ledger.held_frames host.Genie.Host.ledger);
-  List.iter (fun (f : F.t) -> reserve.(f.F.id) <- 1) (VS.reserve_frames vm);
+  List.iter (fun (f : F.t) -> facts.reserve.(f.F.id) <- 1) (VS.reserve_frames vm);
   let spaces =
     List.map
       (fun (sv : VS.space_view) ->
         { view = sv; regions = sv.VS.sv_regions (); ptes = sv.VS.sv_ptes () })
       (VS.space_views vm)
   in
-  let mapped = Array.make n false and writable = Array.make n None in
   List.iter
     (fun s ->
       List.iter
         (fun ((vpn, pte) : int * PT.pte) ->
           let id = pte.PT.frame.F.id in
-          mapped.(id) <- true;
+          facts.mapped.(id) <- true;
           if pte.PT.prot = Vm.Prot.Read_write then
-            writable.(id) <- Some (s.view.VS.sv_id, vpn))
+            facts.writable.(id) <- Some (s.view.VS.sv_id, vpn))
         s.ptes)
     spaces;
   let io = VS.io_views vm in
-  let io_in = counts () and io_out = counts () in
   List.iter
     (fun (iv : VS.io_view) ->
-      let a = match iv.VS.io_dir with VS.Io_input -> io_in | VS.Io_output -> io_out in
+      let a =
+        match iv.VS.io_dir with
+        | VS.Io_input -> facts.io_in
+        | VS.Io_output -> facts.io_out
+      in
       List.iter (fun (f : F.t) -> bump a f.F.id) iv.VS.io_frames)
     io;
   let entries = Genie.Ledger.entries host.Genie.Host.ledger in
   {
-    host; frames; queued; mapped; writable; owned; pool; ledger; reserve;
-    io_in; io_out; spaces; io; entries;
+    host; frames; facts; spaces; io; entries;
     reachable = reachable_objects spaces;
     in_flight = in_flight_regions spaces entries;
   }
@@ -176,22 +210,23 @@ let free_list s =
   Array.iter
     (fun (f : F.t) ->
       let id = f.F.id in
-      for _ = 2 to s.queued.(id) do
+      for _ = 2 to s.facts.queued.(id) do
         bad f "appears more than once on the free queue"
       done;
       match f.F.state with
       | F.Free ->
-        if s.queued.(id) = 0 then
+        if s.facts.queued.(id) = 0 then
           bad f "state is free but the frame is not on the free queue";
         if F.io_referenced f then
           bad f "free frame carries I/O references (in=%d out=%d)" f.F.input_refs
             f.F.output_refs;
         if f.F.wired <> 0 then bad f "free frame is wired (%d)" f.F.wired;
         if f.F.pageable then bad f "free frame is still marked pageable";
-        if s.owned.(id) then bad f "free frame still registered to a memory object";
-        if s.mapped.(id) then bad f "free frame is still mapped by a page table"
+        if s.facts.owned.(id) then
+          bad f "free frame still registered to a memory object";
+        if s.facts.mapped.(id) then bad f "free frame is still mapped by a page table"
       | F.Allocated | F.Zombie ->
-        if s.queued.(id) > 0 then
+        if s.facts.queued.(id) > 0 then
           bad f "%s frame is on the free queue" (state_name f.F.state))
     s.frames;
   !out
@@ -210,10 +245,11 @@ let zombie_reclaim s =
         if not (F.io_referenced f) then
           bad subject
             "zombie frame has no pending I/O references and was never reclaimed";
-        if s.owned.(id) then
+        if s.facts.owned.(id) then
           bad subject "zombie frame still registered to a memory object";
-        if s.pool.(id) > 0 then bad subject "zombie frame sits in the overlay pool";
-        if s.ledger.(id) > 0 then
+        if s.facts.pool.(id) > 0 then
+          bad subject "zombie frame sits in the overlay pool";
+        if s.facts.ledger.(id) > 0 then
           bad subject "zombie frame is still held by the kernel ledger"
       end)
     s.frames;
@@ -229,14 +265,16 @@ let frame_accounting s =
   let out = ref [] in
   let bad f fmt = report out "frame-accounting" s (frame_subject f) fmt in
   let describe id object_owned =
-    Printf.sprintf "object=%d pool=%d ledger=%d reserve=%d" object_owned s.pool.(id)
-      s.ledger.(id) s.reserve.(id)
+    Printf.sprintf "object=%d pool=%d ledger=%d reserve=%d" object_owned
+      s.facts.pool.(id) s.facts.ledger.(id) s.facts.reserve.(id)
   in
   Array.iter
     (fun (f : F.t) ->
       let id = f.F.id in
-      let object_owned = if s.owned.(id) then 1 else 0 in
-      let owners = object_owned + s.pool.(id) + s.ledger.(id) + s.reserve.(id) in
+      let object_owned = if s.facts.owned.(id) then 1 else 0 in
+      let owners =
+        object_owned + s.facts.pool.(id) + s.facts.ledger.(id) + s.facts.reserve.(id)
+      in
       match f.F.state with
       | F.Allocated ->
         if owners <> 1 then
@@ -410,7 +448,7 @@ let wiring s =
   let bad_frame f fmt = bad (frame_subject f) fmt in
   Array.iter
     (fun (f : F.t) ->
-      let owned = s.owned.(f.F.id) in
+      let owned = s.facts.owned.(f.F.id) in
       if f.F.wired < 0 then bad_frame f "negative wire count %d" f.F.wired;
       if f.F.wired > 0 then begin
         if f.F.state <> F.Allocated then
@@ -454,7 +492,7 @@ let tcow_protection s =
         | Some h ->
           List.iter
             (fun (f : F.t) ->
-              match s.writable.(f.F.id) with
+              match s.facts.writable.(f.F.id) with
               | Some (space_id, vpn) when f.F.output_refs > 0 ->
                 report out "tcow-protection" s (frame_subject f)
                   "emulated-copy output in flight, yet space#%d vpn#%d maps the \
@@ -472,7 +510,7 @@ let io_refcounts s =
   let bad subject fmt = report out "io-refcounts" s subject fmt in
   Array.iter
     (fun (f : F.t) ->
-      let ein = s.io_in.(f.F.id) and eout = s.io_out.(f.F.id) in
+      let ein = s.facts.io_in.(f.F.id) and eout = s.facts.io_out.(f.F.id) in
       if f.F.input_refs <> ein then
         bad (frame_subject f)
           "input_refs=%d but %d live input descriptors reference the frame"
@@ -559,6 +597,8 @@ let all =
 
 let check_host host =
   let s = snapshot host in
-  List.concat_map (fun (_, f) -> f s) all
+  let vs = List.concat_map (fun (_, f) -> f s) all in
+  Domain.DLS.get spare := Some s.facts;
+  vs
 
 let check_world hosts = List.concat_map check_host hosts

@@ -14,7 +14,22 @@ let pages t =
 let read t = Vm.Address_space.read t.space ~addr:t.addr ~len:t.len
 let write t data = Vm.Address_space.write t.space ~addr:t.addr data
 
+(* Byte i is (131 i + 89 seed + i / 4096) mod 256.  Inside 4096-byte
+   block c, with j = i mod 4096, that is 131 (j + k) mod 256 for
+   k = 43 (89 seed + c) mod 256, since 43 = 131^-1 mod 256 and 131 * 4096
+   is 0 mod 256.  So each 256-byte run of the block is [period] rotated
+   by k: one blit from two back-to-back copies of the period. *)
+let period2 = Bytes.init 512 (fun m -> Char.chr ((m * 131) land 0xFF))
+
 let expected_pattern ~len ~seed =
-  Bytes.init len (fun i -> Char.chr ((i * 131 + seed * 89 + i / 4096) land 0xFF))
+  let out = Bytes.create len in
+  let pos = ref 0 in
+  while !pos < len do
+    let k = (43 * ((seed * 89) + (!pos / 4096))) land 0xFF in
+    let n = min 256 (len - !pos) in
+    Bytes.blit period2 k out !pos n;
+    pos := !pos + n
+  done;
+  out
 
 let fill_pattern t ~seed = write t (expected_pattern ~len:t.len ~seed)

@@ -2,7 +2,7 @@ type state = Free | Allocated | Zombie
 
 type t = {
   id : int;
-  data : bytes;
+  mutable data : bytes;
   mutable input_refs : int;
   mutable output_refs : int;
   mutable wired : int;
@@ -13,15 +13,29 @@ type t = {
 
 let io_referenced t = t.input_refs > 0 || t.output_refs > 0
 let page_size t = Bytes.length t.data
-let fill t c = Bytes.fill t.data 0 (Bytes.length t.data) c
+
+(* The one point where a frame stops sharing its memory's zero page:
+   every write reaches the bytes through here. *)
+let writable t =
+  if t.known_zero then begin
+    t.data <- Bytes.make (Bytes.length t.data) '\x00';
+    t.known_zero <- false
+  end;
+  t.data
+
+let fill t c =
+  if not (t.known_zero && c = '\x00') then
+    Bytes.fill (writable t) 0 (Bytes.length t.data) c
 
 let blit_in t ~dst_off ~src ~src_off ~len =
-  Bytes.blit src src_off t.data dst_off len
+  Bytes.blit src src_off (writable t) dst_off len
 
 let blit_out t ~src_off ~dst ~dst_off ~len =
   Bytes.blit t.data src_off dst dst_off len
 
-let copy_contents ~src ~dst = Bytes.blit src.data 0 dst.data 0 (Bytes.length src.data)
+let copy_contents ~src ~dst =
+  if src.known_zero then fill dst '\x00'
+  else Bytes.blit src.data 0 (writable dst) 0 (Bytes.length src.data)
 
 let state_name = function Free -> "free" | Allocated -> "alloc" | Zombie -> "zombie"
 

@@ -14,9 +14,12 @@ let of_bytes ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
   make_slice b ~off ~len ~what:"of_bytes"
 
+(* A view sees the frame's later writes, so it must not alias the zero
+   page the frame would leave at its first write. *)
 let of_frame ?(off = 0) ?len (f : Frame.t) =
-  let len = match len with Some l -> l | None -> Bytes.length f.Frame.data - off in
-  make_slice f.Frame.data ~off ~len ~what:"of_frame"
+  let data = Frame.writable f in
+  let len = match len with Some l -> l | None -> Bytes.length data - off in
+  make_slice data ~off ~len ~what:"of_frame"
 
 let concat ts =
   {

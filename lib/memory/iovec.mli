@@ -20,7 +20,9 @@ val of_bytes : ?off:int -> ?len:int -> bytes -> t
     visible through the view. *)
 
 val of_frame : ?off:int -> ?len:int -> Frame.t -> t
-(** View over a page-frame range; aliases the frame's backing bytes. *)
+(** View over a page-frame range; aliases the frame's backing bytes,
+    which a [known_zero] frame gets here ({!Frame.writable}) so that the
+    view never aliases the shared zero page. *)
 
 val concat : t list -> t
 (** Logical concatenation; no bytes move. *)

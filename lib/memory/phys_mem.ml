@@ -1,5 +1,6 @@
 type t = {
   frames : Frame.t array;
+  zero_page : bytes;
   free : int Queue.t;
   page_size : int;
   mutable zombies : int;
@@ -23,13 +24,14 @@ exception Out_of_frames
 let create spec =
   let page_size = spec.Machine.Machine_spec.page_size in
   let n = Machine.Machine_spec.frame_count spec in
+  (* Every frame shares this page until its first write: set-up costs
+     O(frames), not O(memory). *)
+  let zero_page = Bytes.make page_size '\x00' in
   let frames =
     Array.init n (fun id ->
         {
           Frame.id;
-          (* Bytes.make (not Bytes.create): the initial known_zero claim
-             must actually be true. *)
-          data = Bytes.make page_size '\x00';
+          data = zero_page;
           input_refs = 0;
           output_refs = 0;
           wired = 0;
@@ -40,7 +42,7 @@ let create spec =
   in
   let free = Queue.create () in
   Array.iter (fun (f : Frame.t) -> Queue.add f.Frame.id free) frames;
-  { frames; free; page_size; zombies = 0; trace = None }
+  { frames; zero_page; free; page_size; zombies = 0; trace = None }
 
 let page_size t = t.page_size
 let set_trace_scope t scope = t.trace <- Some scope
@@ -67,15 +69,12 @@ let take_free t =
 let alloc t =
   let frame = take_free t in
   if !debug_poison then Frame.fill frame '\xAA';
-  frame.Frame.known_zero <- false;
   frame
 
+(* [Frame.fill] skips frames that still share the zero page. *)
 let alloc_zeroed t =
   let frame = take_free t in
-  (* Frames whose contents are provably zero (never handed out since
-     [create]) skip the O(page_size) refill. *)
-  if not frame.Frame.known_zero then Frame.fill frame '\x00';
-  frame.Frame.known_zero <- false;
+  Frame.fill frame '\x00';
   frame
 
 let release t (frame : Frame.t) =
@@ -147,4 +146,21 @@ let adopt t (frame : Frame.t) =
   | Frame.Free -> invalid_arg "Phys_mem.adopt: frame is free"
 
 let zombie_count t = t.zombies
+
+let audit t =
+  let out = ref [] in
+  let bad fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  if not (Bytes.for_all (fun c -> c = '\x00') t.zero_page) then
+    bad "the shared zero page holds a nonzero byte";
+  Array.iter
+    (fun (f : Frame.t) ->
+      match (f.Frame.known_zero, f.Frame.data == t.zero_page) with
+      | true, false ->
+        bad "frame#%d is known zero but has private bytes" f.Frame.id
+      | false, true ->
+        bad "frame#%d shares the zero page but is not known zero" f.Frame.id
+      | _ -> ())
+    t.frames;
+  List.rev !out
+
 let iter_free t f = Queue.iter f t.free

@@ -5,14 +5,20 @@
     on the free list; instead the frame becomes a zombie, and the final
     [unref_input]/[unref_output] places it on the free list.  This is what
     makes in-place I/O safe when an application frees (or exits with)
-    memory that a device is still reading or writing. *)
+    memory that a device is still reading or writing.
+
+    Frames get their bytes on first write: until then every frame of a
+    [t] shares one read-only zero page ([Frame.known_zero]), so creating
+    physical memory costs O(frames), and memory the simulation never
+    writes is never allocated. *)
 
 type t
 
 exception Out_of_frames
 
 val create : Machine.Machine_spec.t -> t
-(** Frame pool sized to the machine's physical memory. *)
+(** Frame pool sized to the machine's physical memory, every frame
+    [known_zero] on the shared zero page. *)
 
 val page_size : t -> int
 val total_frames : t -> int
@@ -25,13 +31,13 @@ val set_trace_scope : t -> Simcore.Tracer.scope -> unit
 val alloc : t -> Frame.t
 (** Take a frame off the free list; contents are unspecified.  When
     {!debug_poison} is set the frame is filled with [0xAA] to surface
-    missing-zeroing bugs; otherwise allocation is O(1).
+    missing-zeroing bugs (which gives it private bytes); otherwise
+    allocation is O(1) and a never-written frame stays [known_zero].
     @raise Out_of_frames when physical memory is exhausted. *)
 
 val alloc_zeroed : t -> Frame.t
-(** Like {!alloc} but with all-zero contents.  Frames whose bytes are
-    provably zero already (tracked via [Frame.known_zero]) skip the
-    O(page_size) refill. *)
+(** Like {!alloc} but with all-zero contents.  A [known_zero] frame is
+    handed out as is, in O(1); a frame with private bytes is refilled. *)
 
 val alloc_many : t -> int -> Frame.t list
 (** Allocate a batch.  On [Out_of_frames] the partially allocated batch
@@ -59,6 +65,12 @@ val adopt : t -> Frame.t -> unit
 
 val zombie_count : t -> int
 (** Number of frames awaiting reclamation (for tests and monitoring). *)
+
+val audit : t -> string list
+(** Zero-page bookkeeping, one message per fault: the shared zero page
+    is all zero, every [known_zero] frame's bytes are physically that
+    page, and no other frame's are.  A raw write into a [known_zero]
+    frame's [data] shows up here. *)
 
 val frames : t -> Frame.t array
 (** Every frame, indexed by id.  The array is physical memory's own, for

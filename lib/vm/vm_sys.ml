@@ -131,8 +131,7 @@ let alloc_pressured_zeroed t =
   | frame -> frame
   | exception Memory.Phys_mem.Out_of_frames ->
     let frame = take_reserve t in
-    Bytes.fill frame.Memory.Frame.data 0
-      (Bytes.length frame.Memory.Frame.data) '\x00';
+    Memory.Frame.fill frame '\x00';
     frame
 
 let materialize t obj idx =
@@ -140,7 +139,7 @@ let materialize t obj idx =
   | Some (Memory_object.Resident frame) -> frame
   | Some (Memory_object.Swapped slot) ->
     let frame = alloc_pressured t in
-    Memory.Backing_store.page_in t.backing slot frame.Memory.Frame.data;
+    Memory.Backing_store.page_in t.backing slot (Memory.Frame.writable frame);
     insert_page t obj idx frame;
     frame
   | None -> invalid_arg "Vm_sys.materialize: object has no such page"

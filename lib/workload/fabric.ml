@@ -167,7 +167,7 @@ let validate cfg =
     invalid_arg "Fabric.run: chunk_bytes must be positive";
   if cfg.domains < 1 then invalid_arg "Fabric.run: domains must be >= 1"
 
-let run cfg =
+let run_hosts cfg =
   validate cfg;
   let engines =
     Array.init (min cfg.domains cfg.ports) (fun _ -> Simcore.Engine.create ())
@@ -460,22 +460,27 @@ let run cfg =
   in
   let duration_us = Simcore.Sim_time.to_us t_end in
   Buffer.add_string acc (Printf.sprintf "t=%d" (Simcore.Sim_time.to_ns t_end));
-  {
-    offered = !offered;
-    accepted = !accepted;
-    rejected = !rejected;
-    completed = !completed;
-    retries = !retries;
-    crc_failures = !crc_failures;
-    rx_bytes = !rx_bytes;
-    duration_us;
-    delivered_mbps =
-      (if duration_us > 0. then 8. *. float_of_int !rx_bytes /. duration_us
-       else 0.);
-    sojourn_us = !sojourn;
-    active_high_water = !hw;
-    table_capacity = !capacity;
-    adapt_migrations = !migrations;
-    adapt_epochs = !adapt_epochs;
-    digest = Digest.to_hex (Digest.string (Buffer.contents acc));
-  }
+  let outcome =
+    {
+      offered = !offered;
+      accepted = !accepted;
+      rejected = !rejected;
+      completed = !completed;
+      retries = !retries;
+      crc_failures = !crc_failures;
+      rx_bytes = !rx_bytes;
+      duration_us;
+      delivered_mbps =
+        (if duration_us > 0. then 8. *. float_of_int !rx_bytes /. duration_us
+         else 0.);
+      sojourn_us = !sojourn;
+      active_high_water = !hw;
+      table_capacity = !capacity;
+      adapt_migrations = !migrations;
+      adapt_epochs = !adapt_epochs;
+      digest = Digest.to_hex (Digest.string (Buffer.contents acc));
+    }
+  in
+  (outcome, Array.fold_right (fun p acc -> p.a :: p.b :: acc) ports [])
+
+let run cfg = fst (run_hosts cfg)

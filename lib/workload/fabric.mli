@@ -94,3 +94,7 @@ type outcome = {
 
 val run : config -> outcome
 (** Run the scenario to completion (all accepted flows drain). *)
+
+val run_hosts : config -> outcome * Genie.Host.t list
+(** {!run}, also returning the drained simulated hosts (both of every
+    port, in port order) for inspection. *)

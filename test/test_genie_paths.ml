@@ -443,8 +443,28 @@ let test_synchronous_input_pooled () =
       (Genie.Buf.read b)
   | _ -> Alcotest.fail "synchronous input failed"
 
+(* [Buf.expected_pattern] builds its bytes from 256-byte blits; the
+   per-byte definition stays here as the reference. *)
+let reference_pattern ~len ~seed =
+  Bytes.init len (fun i -> Char.chr ((i * 131 + seed * 89 + i / 4096) land 0xFF))
+
+let test_pattern_matches_reference () =
+  let top = (3 * 4096) + 17 in
+  List.iter
+    (fun seed ->
+      let full = reference_pattern ~len:top ~seed in
+      for len = 0 to top do
+        let got = Genie.Buf.expected_pattern ~len ~seed in
+        if not (Bytes.equal got (Bytes.sub full 0 len)) then
+          Alcotest.failf "pattern differs from the reference at seed %d len %d" seed
+            len
+      done)
+    [ min_int; -1_000_003; -257; -1; 0; 1; 255; 256; 4097; 1 lsl 40; max_int ]
+
 let suite =
   [
+    Alcotest.test_case "pattern matches its per-byte definition" `Quick
+      test_pattern_matches_reference;
     Alcotest.test_case "emulated copy short output converts" `Quick
       test_emcopy_short_converts_to_copy;
     Alcotest.test_case "emulated copy large output arms TCOW" `Quick

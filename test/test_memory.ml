@@ -47,7 +47,7 @@ let test_deferred_deallocation () =
      not reach the free list until the last reference drops. *)
   let pm = fresh () in
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.set f.Memory.Frame.data 0 'D';
+  Bytes.set (Memory.Frame.writable f) 0 'D';
   Memory.Phys_mem.ref_output pm f;
   Memory.Phys_mem.ref_output pm f;
   let free_before = Memory.Phys_mem.free_frames pm in
@@ -93,11 +93,11 @@ let test_alloc_many_partial_exhaustion () =
 
 let test_alloc_zeroed_after_reuse () =
   (* known_zero soundness: a frame that was handed out, dirtied and freed
-     must be re-zeroed by alloc_zeroed; only never-allocated frames may
-     skip the fill. *)
+     must be re-zeroed by alloc_zeroed; only frames still sharing the
+     zero page may skip the fill. *)
   let pm = fresh () in
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.set f.Memory.Frame.data 17 'X';
+  Bytes.set (Memory.Frame.writable f) 17 'X';
   Memory.Phys_mem.deallocate pm f;
   let total = Memory.Phys_mem.total_frames pm in
   let all_zero (g : Memory.Frame.t) =
@@ -159,7 +159,8 @@ let test_unref_without_ref_raises () =
 
 let make_frame pm s =
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.blit_string s 0 f.Memory.Frame.data 0 (String.length s);
+  Memory.Frame.blit_in f ~dst_off:0 ~src:(Bytes.of_string s) ~src_off:0
+    ~len:(String.length s);
   f
 
 let test_desc_gather_scatter () =
@@ -300,6 +301,137 @@ let test_backing_store_wrong_size () =
     (Invalid_argument "Backing_store.page_out: wrong page size") (fun () ->
       ignore (Memory.Backing_store.page_out bs (Bytes.create 100)))
 
+(* {1 Zero page} *)
+
+let test_zero_page_on_demand () =
+  let pm = fresh () in
+  let zero = (Memory.Phys_mem.frames pm).(0).Memory.Frame.data in
+  let shares_zero (f : Memory.Frame.t) =
+    f.Memory.Frame.known_zero && f.Memory.Frame.data == zero
+  in
+  Alcotest.(check bool) "every frame starts on one shared page" true
+    (Array.for_all shares_zero (Memory.Phys_mem.frames pm));
+  let f = Memory.Phys_mem.alloc pm in
+  Alcotest.(check bool) "hand-out keeps the zero page" true (shares_zero f);
+  Memory.Frame.fill f '\x00';
+  Alcotest.(check bool) "zeroing a known-zero frame copies nothing" true
+    (shares_zero f);
+  Memory.Frame.blit_in f ~dst_off:5 ~src:(Bytes.of_string "ab") ~src_off:0 ~len:2;
+  Alcotest.(check bool) "first write gives private bytes" true
+    ((not f.Memory.Frame.known_zero) && f.Memory.Frame.data != zero);
+  Alcotest.(check string) "written bytes over zeros" "\x00ab\x00"
+    (Bytes.sub_string f.Memory.Frame.data 4 4);
+  (* A view aliases the frame: it must see writes made after it. *)
+  let g = Memory.Phys_mem.alloc pm in
+  let v = Memory.Iovec.of_frame g ~off:0 ~len:8 in
+  Memory.Frame.blit_in g ~dst_off:0 ~src:(Bytes.of_string "z") ~src_off:0 ~len:1;
+  Alcotest.(check char) "view sees a later write" 'z' (Memory.Iovec.get v 0);
+  let h = Memory.Phys_mem.alloc pm and k = Memory.Phys_mem.alloc pm in
+  Memory.Frame.copy_contents ~src:h ~dst:k;
+  Alcotest.(check bool) "zero-to-zero copy stays on the zero page" true
+    (shares_zero k);
+  Memory.Frame.copy_contents ~src:f ~dst:k;
+  Alcotest.(check bool) "copying real bytes gives private bytes" true
+    (Bytes.equal k.Memory.Frame.data f.Memory.Frame.data && not (shares_zero k));
+  let z = Memory.Phys_mem.alloc_zeroed pm in
+  Alcotest.(check bool) "alloc_zeroed hands out the zero page" true
+    (shares_zero z);
+  with_poison (fun () ->
+      let p = Memory.Phys_mem.alloc pm in
+      Alcotest.(check bool) "poison gives private bytes" false (shares_zero p));
+  Alcotest.(check bool) "the zero page is still zero" true
+    (Bytes.for_all (fun c -> c = '\x00') zero);
+  Alcotest.(check (list string)) "audit clean" [] (Memory.Phys_mem.audit pm)
+
+(* Mutations the audit must flag: a raw write into a known-zero frame's
+   bytes (which lands on the shared page), a private page still claimed
+   known zero, and the shared page without the claim. *)
+let test_zero_page_audit_mutations () =
+  let flagged what mutate =
+    let pm = fresh () in
+    let f = Memory.Phys_mem.alloc pm in
+    mutate f;
+    Alcotest.(check bool) (what ^ " is flagged") true
+      (Memory.Phys_mem.audit pm <> [])
+  in
+  flagged "raw write into a known-zero frame" (fun f ->
+      Bytes.set f.Memory.Frame.data 0 'X');
+  flagged "private bytes claimed known zero" (fun f ->
+      f.Memory.Frame.data <- Bytes.make (Bytes.length f.Memory.Frame.data) '\x00');
+  flagged "zero page without the claim" (fun f ->
+      f.Memory.Frame.known_zero <- false)
+
+(* File_io on a file twice the page cache: buffered writes at arbitrary
+   byte offsets (partial pages take the read-modify-write path), reads
+   checked against a flat model, fsyncs and cache drops. *)
+let storage_replay ~seed =
+  let w = Genie.World.create () in
+  let fio =
+    Genie.File_io.create
+      ~config:{ Store.Page_cache.default_config with Store.Page_cache.max_pages = 32 }
+      w.Genie.World.a
+  in
+  let fd = Genie.File_io.open_file fio in
+  let size = 64 * Genie.Host.page_size w.Genie.World.a in
+  let rng = Simcore.Rng.create ~seed in
+  let model = Bytes.init size (fun _ -> Char.chr (Simcore.Rng.int rng ~bound:256)) in
+  let expect_ok what = function
+    | Ok _ -> ()
+    | Error `Again -> Alcotest.failf "storage replay: %s returned `Again" what
+  in
+  expect_ok "populate" (Genie.File_io.write fio ~fd ~off:0 ~data:(Bytes.copy model)
+    ~on_complete:ignore);
+  Genie.World.run w;
+  for _ = 1 to 200 do
+    let len = 1 + Simcore.Rng.int rng ~bound:(3 * 4096) in
+    let off = Simcore.Rng.int rng ~bound:(size - len) in
+    (match Simcore.Rng.int rng ~bound:7 with
+    | 0 | 1 | 2 ->
+      let data = Bytes.init len (fun _ -> Char.chr (Simcore.Rng.int rng ~bound:256)) in
+      expect_ok "write" (Genie.File_io.write fio ~fd ~off ~data ~on_complete:ignore);
+      Bytes.blit data 0 model off len
+    | 3 | 4 ->
+      let expected = Bytes.sub model off len in
+      expect_ok "read"
+        (Genie.File_io.read fio ~fd ~off ~len ~on_complete:(fun got ->
+             if not (Bytes.equal got expected) then
+               Alcotest.failf "storage replay: read at %d+%d diverges" off len))
+    | 5 -> Genie.File_io.fsync fio ~fd ~on_complete:ignore
+    | _ -> ignore (Genie.File_io.drop_caches fio));
+    Genie.World.run w
+  done;
+  [ w.Genie.World.a; w.Genie.World.b ]
+
+(* End to end with poison off (the fuzzer always poisons, so there every
+   allocated frame is written at once): after a fabric run and a
+   storage replay every host's zero page is intact, its bookkeeping
+   exact, and frames nothing wrote still share it. *)
+let test_zero_page_after_runs () =
+  let saved = !Memory.Phys_mem.debug_poison in
+  Memory.Phys_mem.debug_poison := false;
+  Fun.protect ~finally:(fun () -> Memory.Phys_mem.debug_poison := saved)
+  @@ fun () ->
+  let _, fabric_hosts =
+    Workload.Fabric.run_hosts
+      {
+        Workload.Fabric.default with
+        Workload.Fabric.flows = 400;
+        ports = 2;
+        circuits_per_port = 8;
+      }
+  in
+  List.iter
+    (fun (h : Genie.Host.t) ->
+      let pm = h.Genie.Host.vm.Vm.Vm_sys.phys in
+      Alcotest.(check (list string))
+        (h.Genie.Host.name ^ " zero-page audit") [] (Memory.Phys_mem.audit pm);
+      Alcotest.(check bool)
+        (h.Genie.Host.name ^ " still has unwritten frames") true
+        (Array.exists
+           (fun (f : Memory.Frame.t) -> f.Memory.Frame.known_zero)
+           (Memory.Phys_mem.frames pm)))
+    (fabric_hosts @ storage_replay ~seed:3)
+
 let suite =
   [
     Alcotest.test_case "alloc/free" `Quick test_alloc_free;
@@ -324,4 +456,10 @@ let suite =
     Alcotest.test_case "pageout target" `Quick test_pageout_target;
     Alcotest.test_case "backing store" `Quick test_backing_store;
     Alcotest.test_case "backing store size check" `Quick test_backing_store_wrong_size;
+    Alcotest.test_case "frames share the zero page until first write" `Quick
+      test_zero_page_on_demand;
+    Alcotest.test_case "zero-page audit catches its mutations" `Quick
+      test_zero_page_audit_mutations;
+    Alcotest.test_case "zero page intact after fabric and storage runs" `Quick
+      test_zero_page_after_runs;
   ]

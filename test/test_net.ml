@@ -156,8 +156,8 @@ let test_aal5_iov_equivalence () =
   let spec = { Machine.Machine_spec.micron_p166 with Machine.Machine_spec.memory_mb = 1 } in
   let pm = Memory.Phys_mem.create spec in
   let f1 = Memory.Phys_mem.alloc pm and f2 = Memory.Phys_mem.alloc pm in
-  Bytes.blit payload 0 f1.Memory.Frame.data 96 4000;
-  Bytes.blit payload 4000 f2.Memory.Frame.data 0 1000;
+  Memory.Frame.blit_in f1 ~dst_off:96 ~src:payload ~src_off:0 ~len:4000;
+  Memory.Frame.blit_in f2 ~dst_off:0 ~src:payload ~src_off:4000 ~len:1000;
   let scattered =
     Memory.Iovec.concat
       [
@@ -228,7 +228,8 @@ let adapter_pair () =
 
 let frame_with pm s =
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.blit_string s 0 f.Memory.Frame.data 0 (String.length s);
+  Memory.Frame.blit_in f ~dst_off:0 ~src:(Bytes.of_string s) ~src_off:0
+    ~len:(String.length s);
   f
 
 let test_adapter_early_demux () =
@@ -301,7 +302,7 @@ let test_adapter_pooled_multi_page () =
     List.init 3 (fun i ->
         let f = Memory.Phys_mem.alloc pm in
         let n = min 4096 (payload_len - (i * 4096)) in
-        Bytes.blit payload (i * 4096) f.Memory.Frame.data 0 n;
+        Memory.Frame.blit_in f ~dst_off:0 ~src:payload ~src_off:(i * 4096) ~len:n;
         f)
   in
   let segs =

@@ -344,7 +344,8 @@ let test_swap_into_region () =
   let addr = base region in
   As.write space ~addr (Bytes.of_string "OLDPAGE");
   let incoming = Memory.Phys_mem.alloc vm.Vm.Vm_sys.phys in
-  Bytes.blit_string "NEWPAGE" 0 incoming.Memory.Frame.data 0 7;
+  Memory.Frame.blit_in incoming ~dst_off:0 ~src:(Bytes.of_string "NEWPAGE")
+    ~src_off:0 ~len:7;
   (match As.swap_into_region space region ~page:0 incoming with
   | Some displaced ->
     Alcotest.(check string) "displaced carries old data" "OLDPAGE"
